@@ -162,12 +162,7 @@ def cmd_verify_paper(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="finsemi")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface compatibility; execution is "
-                        "sequential and deterministic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, metavar="MS",
-                   help="soft time budget hint for searches")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("green", help="Green's relation data of a semigroup")

@@ -81,20 +81,6 @@ def _labeled_tables(n):
     return out
 
 
-def _canonicalize(table):
-    n = len(table)
-    from itertools import permutations
-    best = None
-    for perm in permutations(range(n)):
-        inv = [0] * n
-        for a, b in enumerate(perm):
-            inv[b] = a
-        flat = tuple(perm[table[inv[x]][inv[y]]] for x in range(n) for y in range(n))
-        if best is None or flat < best:
-            best = flat
-    return best
-
-
 def _unflatten(flat, n):
     return tuple(tuple(flat[x * n + y] for y in range(n)) for x in range(n))
 
@@ -149,15 +135,9 @@ def enumerate_semigroups(n, sample=None, seed=0):
     key = (n, sample, seed)
     if key in _enum_cache:
         return _enum_cache[key]
-    entries = []
     if n <= 4:
-        canon_set = set()
-        for table in _labeled_tables(n):
-            canon_set.add(_canonicalize(table))
-        for i, flat in enumerate(sorted(canon_set)):
-            table = _unflatten(flat, n)
-            S = sg.FiniteSemigroup(table, check=False)
-            entries.append(CorpusEntry(f"S{n}_{i}", n, table, _flags(S)))
+        canon_set = {sg.canonical_form(table) for table in _labeled_tables(n)}
+        prefix, provenance = f"S{n}_", "enumerated"
     else:
         rng = random.Random(seed)
         canon_set = set()
@@ -166,12 +146,13 @@ def enumerate_semigroups(n, sample=None, seed=0):
             attempts += 1
             table = _random_semigroup_table(n, rng)
             if table is not None:
-                canon_set.add(_canonicalize(table))
-        for i, flat in enumerate(sorted(canon_set)):
-            table = _unflatten(flat, n)
-            S = sg.FiniteSemigroup(table, check=False)
-            entries.append(CorpusEntry(f"S{n}s_{i}", n, table, _flags(S),
-                                       provenance="enumerated-sampled"))
+                canon_set.add(sg.canonical_form(table))
+        prefix, provenance = f"S{n}s_", "enumerated-sampled"
+    entries = []
+    for i, flat in enumerate(sorted(canon_set)):
+        table = _unflatten(flat, n)
+        S = sg.FiniteSemigroup(table, check=False)
+        entries.append(CorpusEntry(f"{prefix}{i}", n, table, _flags(S), provenance))
     _enum_cache[key] = entries
     return entries
 
@@ -212,7 +193,7 @@ def naive_enumerate(n):
         table = _unflatten(flat, n)
         if all(table[table[x][y]][z] == table[x][table[y][z]]
                for x in rng for y in rng for z in rng):
-            canon_set.add(_canonicalize(table))
+            canon_set.add(sg.canonical_form(table))
     return sorted(canon_set)
 
 

@@ -27,12 +27,6 @@ from .pseudovarieties import (
 )
 
 
-def _as_word(u):
-    if isinstance(u, str):
-        return tuple(u)
-    return tuple(u)
-
-
 @dataclass(frozen=True)
 class WindowWord:
     """A word over the block alphabet A^(k+1); consecutive blocks overlap
@@ -55,7 +49,7 @@ class WindowWord:
 
 def phi_k(u, k):
     """Window word of a plain word: empty when |u| <= k."""
-    w = _as_word(u)
+    w = tm._as_word(u)
     if len(w) <= k:
         return WindowWord(k, ())
     return WindowWord(k, tuple(w[i:i + k + 1] for i in range(len(w) - k)))
@@ -83,12 +77,6 @@ def _cat(*pieces):
 def _word_image(w, k):
     blocks = phi_k(w, k).blocks
     return tm.word_term(blocks) if blocks else None
-
-
-def _exp_minus_one(e):
-    if isinstance(e, int):
-        return e - 1
-    return e.shifted(-1)
 
 
 def _phi_prefixed(prefix, f, k):
@@ -143,7 +131,7 @@ def phi_k_term(t, k):
         # base of length >= k+1: phi(u^e) = phi(u b_k(u))^(e-1) . phi(u)
         core = phi_k_term(tm.concat(base, tm.word_term(tm.beta_k(base, k))), k)
         tail = phi_k_term(base, k)
-        return _cat(tm.power(core, _exp_minus_one(exp)), tail)
+        return _cat(tm.power(core, tm._exp_minus_one(exp)), tail)
     # a single letter has an empty image for k >= 1
     return None if k >= 1 else tm.Letter((t.symbol,))
 
@@ -176,9 +164,9 @@ def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
             f"{V.name} contains no nontrivial monoid; the triple criterion "
             f"does not characterize {V.name} * D_k")
     if not isinstance(u, tm.Term):
-        u = tm.word_term(_as_word(u))
+        u = tm.word_term(tm._as_word(u))
     if not isinstance(v, tm.Term):
-        v = tm.word_term(_as_word(v))
+        v = tm.word_term(tm._as_word(v))
     if tm.beta_k(u, k) != tm.beta_k(v, k):
         return refuted("length-k prefixes differ")
     if tm.tau_k(u, k) != tm.tau_k(v, k):
@@ -195,37 +183,27 @@ def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
 # Relatively free objects for locally finite V * D_k
 
 
+# The free-object rule (semigroups.free_value / free_mul) of each locally
+# finite V, by V's word problem.
+_FREE_KIND = {"SL_CONTENT": "content", "BOUNDED_PREFIX": "prefix",
+              "BOUNDED_SUFFIX": "suffix", "BOUNDED_WORD": "bounded_word"}
+
+
 class _ValueAlgebra:
     """The finite free object of V over the block alphabet, reduced to the
     value of a nonempty block word and a value multiplication."""
 
     def __init__(self, V):
-        kind = V.free_value_kind
-        if kind is None:
+        self.kind = _FREE_KIND.get(V.word_problem)
+        if self.kind is None:
             raise BudgetExceeded(f"{V.name} has no finite free-object backend")
-        self.kind = kind
         self.bound = V.word_problem_bound
 
     def of_blocks(self, blocks):
-        if self.kind == "content":
-            return frozenset(blocks)
-        if self.kind == "prefix":
-            return tuple(blocks[:self.bound])
-        if self.kind == "suffix":
-            return tuple(blocks[-self.bound:])
-        # bounded_word: zero once length reaches the bound
-        return tuple(blocks) if len(blocks) < self.bound else "0"
+        return sg.free_value(self.kind, blocks, self.bound)
 
     def mul(self, x, y):
-        if self.kind == "content":
-            return x | y
-        if self.kind == "prefix":
-            return (x + y)[:self.bound]
-        if self.kind == "suffix":
-            return (x + y)[-self.bound:]
-        if x == "0" or y == "0" or len(x) + len(y) >= self.bound:
-            return "0"
-        return x + y
+        return sg.free_mul(self.kind, x, y, self.bound)
 
 
 class VdkImages:
@@ -236,6 +214,8 @@ class VdkImages:
     def __init__(self, V, k):
         if isinstance(V, str):
             V = get_pseudovariety(V)
+        if k < 1:
+            raise PreconditionViolated(f"the triple algebra needs k >= 1, got {k}")
         self.V = V
         self.k = k
         self.values = _ValueAlgebra(V)
@@ -267,7 +247,7 @@ class VdkImages:
 
     def image_of_word(self, word):
         """Fold a word through the letter images; the canonical homomorphism."""
-        w = _as_word(word)
+        w = tm._as_word(word)
         acc = ("short", (w[0],))
         for a in w[1:]:
             acc = self._mul(acc, ("short", (a,)))
@@ -320,35 +300,7 @@ def member_vdk(S, V, k, budget=4096):
         raise BudgetExceeded("member_vdk requires a generating set of size <= 3")
     letters = ("a", "b", "c")[:g]
     F = free_object_vdk(V, letters, k, budget=budget)
-    T = F.semigroup
-    gen_idx = F.generator_indices
-    for tup in product(range(S.order), repeat=g):
-        if sg.generate(S, tup).order != S.order:
-            continue
-        image = {}
-        ok = True
-        for fi, s in zip(gen_idx, tup):
-            image[fi] = s
-        frontier = list(image.items())
-        while frontier and ok:
-            new = []
-            items = list(image.items())
-            for (t1, s1) in frontier:
-                for (t2, s2) in items:
-                    for (tp, sp) in ((T.table[t1][t2], S.table[s1][s2]),
-                                     (T.table[t2][t1], S.table[s2][s1])):
-                        prev = image.get(tp)
-                        if prev is None:
-                            image[tp] = sp
-                            new.append((tp, sp))
-                        elif prev != sp:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            frontier = new
-        if ok:
-            return True
-    return False
+    return any(sg.generate(S, tup).order == S.order
+               and sg.extends_to_homomorphism(F.semigroup, S,
+                                              zip(F.generator_indices, tup))
+               for tup in product(range(S.order), repeat=g))

@@ -63,13 +63,9 @@ class Ilbf2Result:
 # Words
 
 
-def _as_word(u):
-    return tuple(u) if not isinstance(u, tuple) else u
-
-
 def lbf(u):
     """Left basic factorization of a nonempty word."""
-    w = _as_word(u)
+    w = tm._as_word(u)
     if not w:
         raise ValueError("lbf of the empty word")
     full = set(w)
@@ -84,7 +80,7 @@ def lbf(u):
 
 def ilbf(u):
     """Iterated left basic factorization of a word (always finite)."""
-    w = _as_word(u)
+    w = tm._as_word(u)
     full = set(w)
     factors = []
     rem = w
@@ -97,12 +93,6 @@ def ilbf(u):
 
 # ---------------------------------------------------------------------------
 # Omega-terms
-
-
-def _exp_minus_one(e):
-    if isinstance(e, int):
-        return e - 1
-    return e.shifted(-1)
 
 
 def _split_factors(factors, acc, full):
@@ -124,7 +114,7 @@ def _split_factors(factors, acc, full):
         if isinstance(f, tm.Power):
             inner = f.base.parts if isinstance(f.base, tm.Concat) else [f.base]
             xb, a, yb = _split_factors(list(inner), acc, full)
-            e1 = _exp_minus_one(f.exp)
+            e1 = tm._exp_minus_one(f.exp)
             tail = [] if (isinstance(e1, int) and e1 == 0) else [tm.power(f.base, e1)]
             return x_parts + xb, a, yb + tail + rest
         # f is a Concat (only when called on a power base)
@@ -229,7 +219,7 @@ def ilbf2(u, cap=60):
     Words always come back finite; omega-terms may be infinite or unknown."""
     is_word = not isinstance(u, tm.Term)
     if is_word:
-        w = _as_word(u)
+        w = tm._as_word(u)
         if len(w) < 2:
             raise ValueError("ilbf2 requires |u| >= 2")
         img = dk.phi_k(w, 1).blocks
@@ -345,9 +335,9 @@ def r_equal(u, v, cap=40):
         return UNKNOWN
 
     if not isinstance(u, tm.Term):
-        u = tm.word_term(_as_word(u))
+        u = tm.word_term(tm._as_word(u))
     if not isinstance(v, tm.Term):
-        v = tm.word_term(_as_word(v))
+        v = tm.word_term(tm._as_word(v))
     if proves_equal_over_S(u, v, max_order=0).proved:
         return PROVED
     w = _refuted_by_r_corpus(u, v)

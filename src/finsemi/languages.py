@@ -11,7 +11,7 @@ a L2), decided on product automata.
 from dataclasses import dataclass, field
 
 from . import semigroups as sg
-from .errors import RegexSyntaxError
+from .errors import OutOfRangeEntry, RegexSyntaxError
 from .pseudovarieties import get_pseudovariety, member
 
 
@@ -26,9 +26,20 @@ class Dfa:
 
     def __post_init__(self):
         n = len(self.delta)
+
+        def check_state(q, what):
+            if not (isinstance(q, int) and 0 <= q < n):
+                raise OutOfRangeEntry(f"{what} {q!r} out of range [0, {n})")
+
         for row in self.delta:
-            assert len(row) == len(self.alphabet)
-            assert all(0 <= q < n for q in row)
+            if len(row) != len(self.alphabet):
+                raise OutOfRangeEntry(
+                    f"delta row has {len(row)} entries for {len(self.alphabet)} letters")
+            for q in row:
+                check_state(q, "delta entry")
+        check_state(self.initial, "initial state")
+        for q in self.finals:
+            check_state(q, "final state")
 
     @property
     def states(self):
@@ -267,10 +278,6 @@ def parse_regex(text, alphabet=None):
     nfa.initial = s
     nfa.finals = frozenset({e})
     return minimize(_determinize(nfa))
-
-
-def dfa_isomorphic(d1, d2):
-    return minimize(d1) == minimize(d2)
 
 
 # ---------------------------------------------------------------------------

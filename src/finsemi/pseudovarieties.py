@@ -251,16 +251,6 @@ def _power_of_power(s, e1, e2):
     return None
 
 
-def _primitive_root(seq):
-    """Smallest d with seq = seq[:d] repeated; works for letter words and
-    for canonical factor sequences alike."""
-    n = len(seq)
-    for d in range(1, n):
-        if n % d == 0 and seq == seq[:d] * (n // d):
-            return seq[:d], n // d
-    return seq, 1
-
-
 def canon(t):
     """Normal form of t under the sound rewriting rules."""
     cached = _canon_memo.get(t)
@@ -291,7 +281,7 @@ def _canon_power(base, exp):
     # (v^j)^(w+q) = v^(w+jq)
     fs = _factors(base)
     if len(fs) > 1:
-        root, j = _primitive_root(tuple(fs))
+        root, j = tm._primitive_root(tuple(fs))
         if j > 1:
             root_term = _term_of(list(root))
             if isinstance(exp, int):
@@ -380,10 +370,6 @@ def proves_equal_over_S(u, v, max_order=4, size_cap=4000):
     return UNKNOWN
 
 
-def proves_idempotent(t):
-    return _certified_idempotent(canon(t))
-
-
 # ---------------------------------------------------------------------------
 # Pseudovariety definitions
 
@@ -397,7 +383,6 @@ class PseudovarietyDef:
     dual_of: str | None = None
     monoidal: bool = False
     has_nontrivial_monoid: bool = True
-    free_value_kind: str | None = None  # content | prefix | suffix | bounded_word | None
 
     def __str__(self):
         return self.name
@@ -428,8 +413,7 @@ def _build_catalog():
     add(PseudovarietyDef("I", ( _pi("x1 = x2"), ), monoidal=True,
                          has_nontrivial_monoid=False))
     add(PseudovarietyDef("Sl", (_pi("x1 x1 = x1"), _pi("x1 x2 = x2 x1")),
-                         word_problem="SL_CONTENT", monoidal=True,
-                         free_value_kind="content", dual_of="Sl"))
+                         word_problem="SL_CONTENT", monoidal=True, dual_of="Sl"))
     k_basis = (_pi("x1^w x2 = x1^w"),)
     add(PseudovarietyDef("K", k_basis, word_problem="K_PREFIX", dual_of="D",
                          has_nontrivial_monoid=False))
@@ -475,16 +459,13 @@ def _build_catalog():
         kk = tuple(_chi_identity(p) for p in dk)
         add(PseudovarietyDef(f"D_{k}", dk, word_problem="BOUNDED_SUFFIX",
                              word_problem_bound=k, dual_of=f"K_{k}",
-                             has_nontrivial_monoid=False,
-                             free_value_kind="suffix"))
+                             has_nontrivial_monoid=False))
         add(PseudovarietyDef(f"K_{k}", kk, word_problem="BOUNDED_PREFIX",
                              word_problem_bound=k, dual_of=f"D_{k}",
-                             has_nontrivial_monoid=False,
-                             free_value_kind="prefix"))
+                             has_nontrivial_monoid=False))
         add(PseudovarietyDef(f"N_{k}", dk + kk, word_problem="BOUNDED_WORD",
                              word_problem_bound=k, dual_of=f"N_{k}",
-                             has_nontrivial_monoid=False,
-                             free_value_kind="bounded_word"))
+                             has_nontrivial_monoid=False))
     return cat
 
 

@@ -7,7 +7,7 @@ Instances are immutable after construction; derived data (Green's
 structure, idempotents, cyclic index/period) is computed once and cached.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .errors import (
     BudgetExceeded,
@@ -217,12 +217,6 @@ def _compute_green(S):
     j_classes, j_of = _partition_by(j_ideal)
     h_classes, h_of = _partition_by(list(zip(r_of, l_of)))
 
-    # R and L refine J; H = R meet L by construction.
-    for x in rng:
-        for y in rng:
-            if r_of[x] == r_of[y] or l_of[x] == l_of[y]:
-                assert j_of[x] == j_of[y], "R/L do not refine J"
-
     j_order = set()
     for ji, ci in enumerate(j_classes):
         xi = next(iter(ci))
@@ -230,14 +224,7 @@ def _compute_green(S):
             if xi in j_ideal[next(iter(cj))]:
                 j_order.add((ji, jj))
 
-    idem = S.idempotents()
-    regular_j = frozenset(j_of[e] for e in idem)
-    # A regular J-class contains an idempotent in every one of its R-classes.
-    for ji in regular_j:
-        for ri, rcls in enumerate(r_classes):
-            if rcls and j_of[next(iter(rcls))] == ji:
-                assert any(e in idem for e in rcls), "regular J-class with idempotent-free R-class"
-
+    regular_j = frozenset(j_of[e] for e in S.idempotents())
     return GreenData(r_classes, l_classes, j_classes, h_classes,
                      frozenset(j_order), regular_j, r_of, l_of, j_of, h_of)
 
@@ -327,10 +314,6 @@ class Congruence:
 
 def identity_congruence(S):
     return Congruence(S, [{x} for x in range(S.order)], check=False)
-
-
-def universal_congruence(S):
-    return Congruence(S, [set(range(S.order))], check=False)
 
 
 def congruence_from_pairs(S, pairs):
@@ -452,84 +435,73 @@ def minimal_generating_set(S):
     return tuple(range(n))
 
 
-def divides(S, T, budget=200_000):
-    """Whether S divides T: some subsemigroup of T maps onto S.
+def extends_to_homomorphism(A, B, pairs):
+    """Whether the map a_i -> b_i, for (a_i, b_i) in `pairs`, extends to a
+    homomorphism from the subsemigroup of A generated by the a_i into B.
 
-    For each assignment of T-elements to a generating tuple of S, the
-    pair closure {(t_i, g_i)} is grown inside T x S; the assignment
-    works iff the closure stays functional in its first coordinate.
-    """
+    The pair closure {(a_i, b_i)} is grown inside A x B; the map extends
+    iff the closure stays functional in its first coordinate."""
+    image = {}
+    for a, b in pairs:
+        if image.setdefault(a, b) != b:
+            return False
+    frontier = list(image.items())
+    while frontier:
+        new = []
+        items = list(image.items())
+        for (a1, b1) in frontier:
+            for (a2, b2) in items:
+                for (ap, bp) in ((A.table[a1][a2], B.table[b1][b2]),
+                                 (A.table[a2][a1], B.table[b2][b1])):
+                    prev = image.get(ap)
+                    if prev is None:
+                        image[ap] = bp
+                        new.append((ap, bp))
+                    elif prev != bp:
+                        return False
+        frontier = new
+    return True
+
+
+def divides(S, T, budget=200_000):
+    """Whether S divides T: some subsemigroup of T maps onto S, i.e. some
+    assignment of T-elements to a generating tuple of S extends to a
+    homomorphism."""
     if S.order > T.order:
         return False
     gens = minimal_generating_set(S)
     m = len(gens)
     if T.order ** m > budget:
         raise BudgetExceeded(f"divides search |T|^{m} = {T.order ** m} exceeds budget {budget}")
-    for tup in product(range(T.order), repeat=m):
-        image = {}
-        ok = True
-        for t, g in zip(tup, gens):
-            if image.get(t, g) != g:
-                ok = False
-                break
-            image[t] = g
-        if not ok:
-            continue
-        frontier = list(image.items())
-        while frontier and ok:
-            new = []
-            items = list(image.items())
-            for (t1, s1) in frontier:
-                for (t2, s2) in items:
-                    for (tp, sp) in ((T.table[t1][t2], S.table[s1][s2]),
-                                     (T.table[t2][t1], S.table[s2][s1])):
-                        prev = image.get(tp)
-                        if prev is None:
-                            image[tp] = sp
-                            new.append((tp, sp))
-                        elif prev != sp:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            frontier = new
-        if ok:
-            return True
-    return False
+    return any(extends_to_homomorphism(T, S, zip(tup, gens))
+               for tup in product(range(T.order), repeat=m))
+
+
+def wreath_mul(T, D, x, y):
+    """The product of two elements of T wr D (see wreath_product):
+    (f, d)(g, e) = (h, de) with h(s) = f(s) g(sd), where f, g are tuples
+    over the states of D^I and the adjoined identity is state |D|."""
+    (f, d), (g, e) = x, y
+    nd = D.order
+    h = tuple(T.table[f[s]][g[d if s == nd else D.table[s][d]]]
+              for s in range(nd + 1))
+    return (h, D.table[d][e])
 
 
 def wreath_product(T, D, budget=200_000):
     """The wreath product T^(D^I) x| D, with D acting by right translation.
 
-    Elements are pairs (f, d) with f a function D^I -> T; the product is
-    (f, d)(g, e) = (h, de) with h(x) = f(x) g(xd).  The identity I is
-    always adjoined to the action set, matching the size bound
-    |T|^(|D|+1) * |D|.
+    Elements are pairs (f, d) with f a function D^I -> T, multiplied by
+    wreath_mul.  The identity I is always adjoined to the action set,
+    matching the size bound |T|^(|D|+1) * |D|.
     """
     nd = D.order
-    states = nd + 1  # D plus adjoined identity at index nd
-    order = (T.order ** states) * nd
+    order = (T.order ** (nd + 1)) * nd
     if order > budget:
         raise BudgetExceeded(f"wreath product order {order} exceeds budget {budget}")
-
-    def act(x, d):
-        return d if x == nd else D.table[x][d]
-
-    fs = list(product(range(T.order), repeat=states))
-    f_index = {f: i for i, f in enumerate(fs)}
-    elems = [(f, d) for f in range(len(fs)) for d in range(nd)]
-    e_index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for (fi, d) in elems:
-        f = fs[fi]
-        row = []
-        for (gi, e) in elems:
-            g = fs[gi]
-            h = tuple(T.table[f[x]][g[act(x, d)]] for x in range(states))
-            row.append(e_index[(f_index[h], D.table[d][e])])
-        table.append(row)
+    elems = [(f, d) for f in product(range(T.order), repeat=nd + 1) for d in range(nd)]
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[wreath_mul(T, D, x, y)] for y in elems] for x in elems]
     return FiniteSemigroup(table, check=False)
 
 
@@ -562,22 +534,29 @@ def congruences(S, budget=10):
         yield Congruence(S, cls, check=False)
 
 
-def canonical_table(S, budget_order=8):
+CANON_MAX_ORDER = 8
+
+
+def canonical_form(table):
     """Lexicographically minimal flattened table over all relabelings."""
-    if S._canon is not None:
-        return S._canon
-    n = S.order
-    if n > budget_order:
+    n = len(table)
+    if n > CANON_MAX_ORDER:
         raise BudgetExceeded(f"canonical form search on order {n}")
     best = None
-    from itertools import permutations
     for perm in permutations(range(n)):
-        flat = tuple(perm[S.table[x][y]]
-                     for x in _inverse(perm) for y in _inverse(perm))
+        inv = _inverse(perm)
+        rows = [table[x] for x in inv]
+        flat = tuple(perm[row[y]] for row in rows for y in inv)
         if best is None or flat < best:
             best = flat
-    S._canon = best
     return best
+
+
+def canonical_table(S):
+    """The canonical form of S's table, cached on S."""
+    if S._canon is None:
+        S._canon = canonical_form(S.table)
+    return S._canon
 
 
 def _inverse(perm):
@@ -664,41 +643,62 @@ def _words_upto(letters, k):
     return out
 
 
+# The free objects of Sl, K_k, D_k and N_k on an alphabet.  An element is
+# the value of a nonempty word under one of four rules (the kind); words
+# may be strings or tuples of letters.
+
+FREE_ZERO = "0"
+
+
+def free_value(kind, word, k):
+    """The element of the free object represented by a nonempty word: its
+    content ("content", Sl), its length-<=k prefix ("prefix", K_k) or
+    suffix ("suffix", D_k), or the word itself while shorter than k and
+    the zero otherwise ("bounded_word", N_k)."""
+    if kind == "content":
+        return frozenset(word)
+    if kind == "prefix":
+        return word[:k]
+    if kind == "suffix":
+        return word[-k:]
+    return word if len(word) < k else FREE_ZERO
+
+
+def free_mul(kind, x, y, k):
+    """The product of two elements given by free_value."""
+    if kind == "content":
+        return x | y
+    if kind == "bounded_word" and FREE_ZERO in (x, y):
+        return FREE_ZERO
+    return free_value(kind, x + y, k)
+
+
+def _free_object(kind, k, letters):
+    bounded = kind == "bounded_word"
+    words = _words_upto(letters, k - 1 if bounded else k)
+    if bounded:
+        words.append(FREE_ZERO)
+    idx = {w: i for i, w in enumerate(words)}
+    table = [[idx[free_mul(kind, u, v, k)] for v in words] for u in words]
+    gens = [idx[FREE_ZERO]] if bounded and k == 1 else [idx[a] for a in letters]
+    return FiniteSemigroup(table, labels=words, generators=gens, check=False)
+
+
 def free_d(k, letters):
     """Free object of D_k on the given letters: words of length <= k
     multiplying by u.v = suffix_k(uv)."""
-    words = _words_upto(letters, k)
-    idx = {w: i for i, w in enumerate(words)}
-    table = [[idx[(u + v)[-k:]] for v in words] for u in words]
-    return FiniteSemigroup(table, labels=words,
-                           generators=[idx[a] for a in letters], check=False)
+    return _free_object("suffix", k, letters)
 
 
 def free_k(k, letters):
     """Free object of K_k: words of length <= k with u.v = prefix_k(uv)."""
-    words = _words_upto(letters, k)
-    idx = {w: i for i, w in enumerate(words)}
-    table = [[idx[(u + v)[:k]] for v in words] for u in words]
-    return FiniteSemigroup(table, labels=words,
-                           generators=[idx[a] for a in letters], check=False)
+    return _free_object("prefix", k, letters)
 
 
 def free_n(k, letters):
     """Free object of N_k = K_k meet D_k: words of length < k plus a zero
     absorbing every longer product."""
-    words = _words_upto(letters, k - 1) if k > 1 else []
-    words = words + ["0"]
-    zero = len(words) - 1
-    idx = {w: i for i, w in enumerate(words)}
-
-    def mul(u, v):
-        if u == "0" or v == "0" or len(u) + len(v) >= k:
-            return zero
-        return idx[u + v]
-
-    table = [[mul(u, v) for v in words] for u in words]
-    gens = [idx[a] for a in letters] if k > 1 else [zero]
-    return FiniteSemigroup(table, labels=words, generators=gens, check=False)
+    return _free_object("bounded_word", k, letters)
 
 
 _CATALOG = {

@@ -7,6 +7,7 @@ are counted separately where the underlying procedures are three-valued).
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 from . import dk
 from . import factorization as fz
@@ -17,6 +18,7 @@ from . import terms as tm
 from .corpus import all_semigroups_upto, enumerate_semigroups, naive_enumerate
 from .errors import UnsupportedShape
 from .pseudovarieties import (
+    _chi_identity,
     get_pseudovariety,
     is_left_permanent,
     is_right_permanent,
@@ -90,9 +92,7 @@ def suite_permanence(config):
     for text in displayed + lg_p:
         record(text, "left", is_left_permanent(tm.parse_identity(text)))
     for text in displayed:
-        pi = tm.parse_identity(text)
-        dual_pi = tm.pseudo_identity(tm.reverse_chi(pi.lhs),
-                                     tm.reverse_chi(pi.rhs), pi.alphabet)
+        dual_pi = _chi_identity(tm.parse_identity(text))
         record(str(dual_pi), "right", is_right_permanent(dual_pi))
     return report
 
@@ -188,29 +188,17 @@ def suite_thm61_words(config):
             letters = sorted(set(u) | set(v))
             D = sg.catalog("free_d", k, "".join(letters))
             for T in members:
+                mul = partial(sg.wreath_mul, T, D)
                 for _ in range(4):
                     report.checked += 1
                     fa = {a: tuple(rng.randrange(T.order)
                                    for _ in range(D.order + 1)) for a in letters}
                     da = {a: rng.randrange(D.order) for a in letters}
-                    if _wreath_eval(T, D, fa, da, u) != _wreath_eval(T, D, fa, da, v):
+                    gens = {a: (fa[a], da[a]) for a in letters}
+                    if reduce(mul, map(gens.get, u)) != reduce(mul, map(gens.get, v)):
                         _fail(report, v=Vn, k=k, u=u, w=v,
                               wreath_t=_sgp_json(T), reason="wreath refutes")
     return report
-
-
-def _wreath_eval(T, D, f_asg, d_asg, word):
-    states = D.order + 1  # adjoined identity at the last index
-
-    def act(x, d):
-        return d if x == states - 1 else D.table[x][d]
-
-    f, d = list(f_asg[word[0]]), d_asg[word[0]]
-    for a in word[1:]:
-        g, e = f_asg[a], d_asg[a]
-        f = [T.table[f[x]][g[act(x, d)]] for x in range(states)]
-        d = D.table[d][e]
-    return (tuple(f), d)
 
 
 def suite_thm44_shadow(config):
@@ -458,9 +446,7 @@ def suite_duality(config):
         S = rng.choice(corpus)
         pi = tm.parse_identity(rng.choice(bank))
         report.checked += 1
-        dual_pi = tm.pseudo_identity(tm.reverse_chi(pi.lhs),
-                                     tm.reverse_chi(pi.rhs), pi.alphabet)
-        if tm.satisfies(S, pi) != tm.satisfies(sg.dual(S), dual_pi):
+        if tm.satisfies(S, pi) != tm.satisfies(sg.dual(S), _chi_identity(pi)):
             _fail(report, semigroup=_sgp_json(S), identity=str(pi))
     for _ in range(config.get("mu_samples", 100)):
         S = rng.choice(corpus)

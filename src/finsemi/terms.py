@@ -360,6 +360,16 @@ def prefix_word(t, k):
     return (tuple(wb[:k]), False)
 
 
+def _as_word(u):
+    """A plain word (string or sequence of symbols) as a tuple of symbols."""
+    return tuple(u)
+
+
+def _exp_minus_one(e):
+    """The exponent e - 1, integer or limit."""
+    return e - 1 if isinstance(e, int) else e.shifted(-1)
+
+
 def beta_k(t, k):
     """Length-<=k prefix of the unfolding (the whole word if shorter)."""
     return prefix_word(t, k)[0]
@@ -398,21 +408,23 @@ class LeftContour:
     period: tuple  # empty for finite contours
 
 
-def _primitive(word):
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
+def _primitive_root(seq):
+    """(root, reps) with seq = root repeated reps times and reps maximal;
+    works for letter words and for factor sequences alike."""
+    n = len(seq)
+    for d in range(1, n):
+        if n % d == 0 and seq == seq[:d] * (n // d):
+            return seq[:d], n // d
+    return seq, 1
 
 
 def _normalize_up(prefix, period):
-    period = _primitive(tuple(period))
+    period = _primitive_root(tuple(period))[0]
     prefix = list(prefix)
     while prefix and prefix[-1] == period[-1]:
         prefix.pop()
         period = (period[-1],) + period[:-1]
-    return LeftContour("up", tuple(prefix), _primitive(period))
+    return LeftContour("up", tuple(prefix), _primitive_root(period)[0])
 
 
 def left_contour(t):

@@ -232,7 +232,16 @@ def test_member_vdk_examples():
     assert dk.member_vdk(sg.catalog("B2"), "Sl", 1)
     assert not dk.member_vdk(sg.catalog("cyclic", 2), "Sl", 1)
     assert dk.member_vdk(sg.catalog("U1"), "Sl", 1)
-    assert not dk.member_vdk(sg.catalog("B2"), "Sl", 0) if False else True
+    with pytest.raises(PreconditionViolated):
+        dk.member_vdk(sg.catalog("B2"), "Sl", 0)
+
+
+def test_triple_algebra_needs_positive_k():
+    # at k = 0 the suffix slice w[-0:] would be the whole word
+    with pytest.raises(PreconditionViolated):
+        dk.VdkImages("Sl", 0)
+    with pytest.raises(PreconditionViolated):
+        dk.free_object_vdk("Sl", "ab", 0)
 
 
 def test_member_vdk_wreath_members():

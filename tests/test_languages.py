@@ -6,7 +6,7 @@ import pytest
 from finsemi import languages as lg
 from finsemi import malcev as mv
 from finsemi import semigroups as sg
-from finsemi.errors import RegexSyntaxError
+from finsemi.errors import OutOfRangeEntry, RegexSyntaxError
 from finsemi.pseudovarieties import member
 
 
@@ -177,3 +177,35 @@ def test_closure_theorem_construction_direction():
 def test_dfa_json_round_trip():
     d = lg.parse_regex("(ab)+")
     assert lg.Dfa.from_json_dict(d.to_json_dict()) == d
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delta", [[0, 0], [0, 0]]),  # a row longer than the alphabet
+    ("delta", [[0], [5]]),  # a target state out of range
+    ("initial", 2),
+    ("finals", [0, 7]),
+])
+def test_dfa_rejects_malformed_fields(field, value):
+    d = {"alphabet": ["a"], "delta": [[0], [1]], "initial": 0, "finals": [1]}
+    lg.Dfa.from_json_dict(d)
+    with pytest.raises(OutOfRangeEntry):
+        lg.Dfa.from_json_dict(dict(d, **{field: value}))
+
+
+def test_dfa_validation_survives_optimized_mode():
+    # python -O strips assert statements; the checks must not be asserts
+    import os
+    import subprocess
+    import sys
+    import finsemi
+    src = os.path.dirname(os.path.dirname(finsemi.__file__))
+    code = ("from finsemi import languages as lg\n"
+            "from finsemi.errors import OutOfRangeEntry\n"
+            "try:\n"
+            "    lg.Dfa.from_json_dict({'alphabet': ['a'], 'delta': [[5]],\n"
+            "                           'initial': 0, 'finals': [0]})\n"
+            "except OutOfRangeEntry:\n"
+            "    print('rejected')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.strip() == "rejected"

@@ -330,3 +330,82 @@ def test_local_monoid_has_identity():
         for e in S.idempotents():
             M = sg.local_monoid(S, e)
             assert M.is_monoid()
+
+
+def catalog_semigroups():
+    """Every catalog entry, the parametrized ones at small arguments."""
+    out = [sg.catalog(name) for name in ("trivial", "B2", "B2_1", "U1", "free_band_2")]
+    for n in (1, 2, 3, 4, 6):
+        out += [sg.catalog(name, n)
+                for name in ("cyclic", "left_zero", "right_zero", "null")]
+    for k in (1, 2, 3):
+        for letters in ("a", "ab", "abc"):
+            out += [sg.catalog(name, k, letters)
+                    for name in ("free_d", "free_k", "free_n")]
+    return out
+
+
+def test_green_invariants():
+    # R and L refine J, and a regular J-class has an idempotent in every
+    # one of its R-classes
+    from finsemi.corpus import all_semigroups_upto
+    for S in all_semigroups_upto(4) + catalog_semigroups():
+        g = S.green()
+        for x in range(S.order):
+            for y in range(S.order):
+                if g.r_class_of[x] == g.r_class_of[y] or g.l_class_of[x] == g.l_class_of[y]:
+                    assert g.j_class_of[x] == g.j_class_of[y], S.table
+        for rcls in g.r_classes:
+            if g.j_class_of[min(rcls)] in g.regular_j:
+                assert rcls & S.idempotents(), S.table
+
+
+@pytest.mark.parametrize("name, v", [("free_d", "D"), ("free_k", "K"), ("free_n", "N")])
+@pytest.mark.parametrize("k, letters", [(1, "ab"), (1, "abc"), (2, "ab"), (2, "abc"),
+                                        (3, "ab")])
+def test_catalog_free_objects_are_free(name, v, k, letters):
+    from finsemi.pseudovarieties import member
+    S = sg.catalog(name, k, letters)
+    assert member(S, f"{v}_{k}")
+    assert sg.generate(S, S.generators).order == S.order
+    sizes = [len(letters) ** i for i in range(1, k + 1)]
+    expected = sum(sizes[:-1]) + 1 if name == "free_n" else sum(sizes)
+    assert S.order == expected
+
+
+def test_wreath_fold_matches_the_table():
+    import random
+    from functools import reduce
+    from itertools import product
+    rng = random.Random(3)
+    cases = [(sg.catalog("U1"), sg.catalog("free_d", 1, "ab")),
+             (sg.catalog("U1"), sg.catalog("free_d", 1, "abc")),
+             (sg.catalog("cyclic", 3), sg.catalog("free_d", 1, "ab")),
+             (sg.catalog("left_zero", 2), sg.catalog("U1")),
+             (sg.catalog("B2"), sg.catalog("free_d", 1, "a"))]
+    for T, D in cases:
+        W = sg.wreath_product(T, D)
+        elems = [(f, d) for f in product(range(T.order), repeat=D.order + 1)
+                 for d in range(D.order)]
+        index = {e: i for i, e in enumerate(elems)}
+        for _ in range(50):
+            gens = [rng.choice(elems) for _ in range(3)]
+            word = [rng.randrange(3) for _ in range(rng.randint(1, 8))]
+            folded = reduce(lambda x, y: sg.wreath_mul(T, D, x, y),
+                            (gens[a] for a in word))
+            assert index[folded] == W.prod(index[gens[a]] for a in word)
+
+
+def test_corpus_canonical_forms_survive_relabeling():
+    import random
+    from finsemi.corpus import corpus_entries_upto
+    rng = random.Random(11)
+    for e in corpus_entries_upto(4):
+        n = e.order
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inv = sg._inverse(perm)
+        relabeled = [[perm[e.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+        flat = tuple(v for row in e.table for v in row)
+        assert sg.canonical_form(relabeled) == flat
+        assert sg.canonical_table(sg.from_table(relabeled)) == flat
