@@ -7,11 +7,18 @@ orders <= 4; order 5 is available only in sampled form.
 
 Corpora are keyed by isomorphism, not anti-isomorphism, so a semigroup
 and its dual occur as distinct entries whenever they are not isomorphic.
+
+Enumerations are cached per process and returned as tuples.  Corpus
+objects are shared per process: every caller of `all_semigroups_upto`,
+whatever its max_order, gets the same `FiniteSemigroup` object for each
+class, so the derived data cached on it (Green's relations, idempotents)
+is computed once per process.
 """
 
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import semigroups as sg
 from .errors import BudgetExceeded
@@ -119,9 +126,7 @@ def _flags(S):
     }
 
 
-_enum_cache = {}
-
-
+@cache
 def enumerate_semigroups(n, sample=None, seed=0):
     """All semigroups of order n up to isomorphism (exact for n <= 4).
 
@@ -129,12 +134,9 @@ def enumerate_semigroups(n, sample=None, seed=0):
     produced instead; larger orders and full order-5 raise BudgetExceeded.
     """
     if n <= 0:
-        return []
+        return ()
     if n > 5 or (n == 5 and sample is None):
         raise BudgetExceeded("exact enumeration limited to order <= 4")
-    key = (n, sample, seed)
-    if key in _enum_cache:
-        return _enum_cache[key]
     if n <= 4:
         canon_set = {sg.canonical_form(table) for table in _labeled_tables(n)}
         prefix, provenance = f"S{n}_", "enumerated"
@@ -153,8 +155,7 @@ def enumerate_semigroups(n, sample=None, seed=0):
         table = _unflatten(flat, n)
         S = sg.FiniteSemigroup(table, check=False)
         entries.append(CorpusEntry(f"{prefix}{i}", n, table, _flags(S), provenance))
-    _enum_cache[key] = entries
-    return entries
+    return tuple(entries)
 
 
 def _random_semigroup_table(n, rng):
@@ -197,12 +198,15 @@ def naive_enumerate(n):
     return sorted(canon_set)
 
 
+@cache
 def all_semigroups_upto(max_order):
-    """FiniteSemigroup objects for every iso class of order <= max_order."""
-    out = []
-    for n in range(1, max_order + 1):
-        out.extend(e.semigroup() for e in enumerate_semigroups(n))
-    return out
+    """FiniteSemigroup objects for every iso class of order <= max_order,
+    shared by every caller in the process: the corpus of a smaller order
+    is a prefix of this one, made of the same objects."""
+    if max_order < 1:
+        return ()
+    return all_semigroups_upto(max_order - 1) + tuple(
+        e.semigroup() for e in enumerate_semigroups(max_order))
 
 
 def corpus_entries_upto(max_order):

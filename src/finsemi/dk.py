@@ -189,23 +189,6 @@ _FREE_KIND = {"SL_CONTENT": "content", "BOUNDED_PREFIX": "prefix",
               "BOUNDED_SUFFIX": "suffix", "BOUNDED_WORD": "bounded_word"}
 
 
-class _ValueAlgebra:
-    """The finite free object of V over the block alphabet, reduced to the
-    value of a nonempty block word and a value multiplication."""
-
-    def __init__(self, V):
-        self.kind = _FREE_KIND.get(V.word_problem)
-        if self.kind is None:
-            raise BudgetExceeded(f"{V.name} has no finite free-object backend")
-        self.bound = V.word_problem_bound
-
-    def of_blocks(self, blocks):
-        return sg.free_value(self.kind, blocks, self.bound)
-
-    def mul(self, x, y):
-        return sg.free_mul(self.kind, x, y, self.bound)
-
-
 class VdkImages:
     """The canonical map of words into the triple algebra of V * D_k:
     short words (length <= k) plus triples (b_k, t_k, [phi_k]_V), with
@@ -216,34 +199,36 @@ class VdkImages:
             V = get_pseudovariety(V)
         if k < 1:
             raise PreconditionViolated(f"the triple algebra needs k >= 1, got {k}")
+        self.kind = _FREE_KIND.get(V.word_problem)
+        if self.kind is None:
+            raise BudgetExceeded(f"{V.name} has no finite free-object backend")
         self.V = V
         self.k = k
-        self.values = _ValueAlgebra(V)
+        self.bound = V.word_problem_bound
 
-    def _triple_of_word(self, w):
-        k = self.k
-        return ("triple", w[:k], w[-k:], self.values.of_blocks(phi_k(w, k).blocks))
+    def _value(self, w):
+        """The V-value of the window image of a word longer than k."""
+        return sg.free_value(self.kind, phi_k(w, self.k).blocks, self.bound)
 
     def _mul(self, e1, e2):
-        k = self.k
-        vals = self.values
+        k, kind, bound = self.k, self.kind, self.bound
         if e1[0] == "short" and e2[0] == "short":
             w = e1[1] + e2[1]
-            return ("short", w) if len(w) <= k else self._triple_of_word(w)
+            if len(w) <= k:
+                return ("short", w)
+            return ("triple", w[:k], w[-k:], self._value(w))
         if e1[0] == "short":
             _, p, s, f = e2
             w = e1[1] + p
-            return ("triple", w[:k],
-                    s, vals.mul(vals.of_blocks(phi_k(w, k).blocks), f))
+            return ("triple", w[:k], s, sg.free_mul(kind, self._value(w), f, bound))
         if e2[0] == "short":
             _, p, s, f = e1
             w = s + e2[1]
-            return ("triple", p, w[-k:],
-                    vals.mul(f, vals.of_blocks(phi_k(w, k).blocks)))
+            return ("triple", p, w[-k:], sg.free_mul(kind, f, self._value(w), bound))
         _, p1, s1, f1 = e1
         _, p2, s2, f2 = e2
-        bridge = vals.of_blocks(phi_k(s1 + p2, k).blocks)
-        return ("triple", p1, s2, vals.mul(vals.mul(f1, bridge), f2))
+        left = sg.free_mul(kind, f1, self._value(s1 + p2), bound)  # f1 . bridge
+        return ("triple", p1, s2, sg.free_mul(kind, left, f2, bound))
 
     def image_of_word(self, word):
         """Fold a word through the letter images; the canonical homomorphism."""

@@ -11,14 +11,17 @@ problem used elsewhere.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from . import dk
 from . import terms as tm
+from .corpus import all_semigroups_upto
 from .errors import UnsupportedShape
 from .pseudovarieties import (
     PROVED,
     UNKNOWN,
     canon,
+    member,
     proves_equal_over_S,
     refuted,
 )
@@ -277,24 +280,18 @@ def ds_dk_regular(t, k, cap=60):
     return UNKNOWN
 
 
+@cache
 def _r_members():
-    from .corpus import all_semigroups_upto
-    from .pseudovarieties import member
-    return [S for S in all_semigroups_upto(4) if member(S, "R")]
-
-
-_r_bank = None
+    """The members of R in the order-<=4 corpus."""
+    return tuple(S for S in all_semigroups_upto(4) if member(S, "R"))
 
 
 def _refuted_by_r_corpus(u, v):
-    global _r_bank
-    if _r_bank is None:
-        _r_bank = _r_members()
     letters = tuple(sorted(tm.content(u) | tm.content(v), key=str))
     if len(letters) > 3:
         return None
     pi = tm.PseudoIdentity(u, v, letters)
-    for S in _r_bank:
+    for S in _r_members():
         ok, asg = tm.satisfies(S, pi, witness=True)
         if not ok:
             return {"semigroup": S, "assignment": asg}

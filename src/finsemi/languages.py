@@ -61,8 +61,11 @@ class Dfa:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(tuple(d["alphabet"]), tuple(tuple(r) for r in d["delta"]),
-                   d["initial"], frozenset(d["finals"]))
+        dfa = cls(tuple(d["alphabet"]), tuple(tuple(r) for r in d["delta"]),
+                  d["initial"], frozenset(d["finals"]))
+        if "states" in d and d["states"] != dfa.states:
+            raise OutOfRangeEntry("declared states do not match delta")
+        return dfa
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ inequality is witnessed by model checking over small semigroups.
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from . import semigroups as sg
 from . import terms as tm
+from .corpus import all_semigroups_upto
 from .errors import UnknownName, WrongAlphabet
 
 
@@ -64,7 +66,12 @@ def refuted(witness=None):
 #   - s t^e = t^e and t^e s = t^e when s t = t (resp. t s = t) is certified
 
 _EXPAND_CAP = 64
-_canon_memo = {}
+
+# The one hand-rolled memo: ("L" | "R", g, base) -> whether g is absorbed
+# by base on that side.  It cannot be a functools.cache, because a key
+# stores the conservative answer False while it is being computed; that
+# sentinel is what stops the _absorbs -> _combine -> _absorbs recursion
+# from cycling.
 _absorb_memo = {}
 
 
@@ -173,13 +180,13 @@ def _combine_pass(factors):
     res = []
     for f in out:
         if res and isinstance(f, tm.Power) and not isinstance(f.exp, int):
-            while res and _absorbs_left(res[-1], f.base):
+            while res and _absorbs("L", res[-1], f.base):
                 res.pop()
         res.append(f)
     out2 = []
     for f in reversed(res):
         if out2 and isinstance(f, tm.Power) and not isinstance(f.exp, int):
-            while out2 and _absorbs_right(f.base, out2[-1]):
+            while out2 and _absorbs("R", out2[-1], f.base):
                 out2.pop()
         out2.append(f)
     return list(reversed(out2))
@@ -193,25 +200,16 @@ def _combine(factors):
         factors = new
 
 
-def _absorbs_left(g, base):
-    """Whether g (base-factors) == base-factors, i.e. g t = t."""
-    key = ("L", g, base)
+def _absorbs(side, g, base):
+    """Whether g t = t (side "L") or t g = t (side "R") is certified,
+    for t the product of base's factors."""
+    key = (side, g, base)
     cached = _absorb_memo.get(key)
     if cached is not None:
         return cached
     _absorb_memo[key] = False  # in-progress sentinel; conservative
-    res = _combine([g] + _factors(base)) == _factors(base)
-    _absorb_memo[key] = res
-    return res
-
-
-def _absorbs_right(base, g):
-    key = ("R", g, base)
-    cached = _absorb_memo.get(key)
-    if cached is not None:
-        return cached
-    _absorb_memo[key] = False
-    res = _combine(_factors(base) + [g]) == _factors(base)
+    fs = _factors(base)
+    res = _combine([g] + fs if side == "L" else fs + [g]) == fs
     _absorb_memo[key] = res
     return res
 
@@ -251,22 +249,17 @@ def _power_of_power(s, e1, e2):
     return None
 
 
+@cache
 def canon(t):
     """Normal form of t under the sound rewriting rules."""
-    cached = _canon_memo.get(t)
-    if cached is not None:
-        return cached
     if isinstance(t, tm.Letter):
-        res = t
-    elif isinstance(t, tm.Concat):
+        return t
+    if isinstance(t, tm.Concat):
         parts = []
         for p in t.parts:
             parts.extend(_factors(canon(p)))
-        res = _term_of(_combine(parts))
-    else:
-        res = _canon_power(canon(t.base), t.exp)
-    _canon_memo[t] = res
-    return res
+        return _term_of(_combine(parts))
+    return _canon_power(canon(t.base), t.exp)
 
 
 def _canon_power(base, exp):
@@ -300,8 +293,9 @@ def _canon_power(base, exp):
 # Refutation by model checking
 
 
+@cache
 def _fast_bank():
-    bank = [
+    return (
         sg.catalog("U1"),
         sg.catalog("left_zero", 2),
         sg.catalog("right_zero", 2),
@@ -313,8 +307,7 @@ def _fast_bank():
         sg.catalog("free_band_2"),
         sg.catalog("cyclic", 6),
         _two_idempotent_monster(),
-    ]
-    return bank
+    )
 
 
 def _two_idempotent_monster():
@@ -329,20 +322,11 @@ def _two_idempotent_monster():
     return sg.FiniteSemigroup(tab, labels=["e", "f", "ef", "0"])
 
 
-_bank_cache = None
-_corpus_cache = {}
-
-
 def _refutation_models(max_order):
-    global _bank_cache
-    if _bank_cache is None:
-        _bank_cache = _fast_bank()
-    yield from _bank_cache
-    if max_order >= 1:
-        if max_order not in _corpus_cache:
-            from .corpus import all_semigroups_upto
-            _corpus_cache[max_order] = all_semigroups_upto(max_order)
-        yield from _corpus_cache[max_order]
+    """The fixed bank, then the corpus of order <= max_order.  Lazy, so
+    the corpus is built only when the bank holds no witness."""
+    yield from _fast_bank()
+    yield from all_semigroups_upto(max_order)
 
 
 def refute_over_models(lhs, rhs, max_order=4, assignment_cap=5000):

@@ -15,6 +15,7 @@ from .errors import (
     NonAssociative,
     NotIdempotent,
     OutOfRangeEntry,
+    PreconditionViolated,
     UnknownName,
 )
 
@@ -24,11 +25,12 @@ class FiniteSemigroup:
 
     table[x][y] is the index of the product xy.  Labels are display
     metadata only; generators, when given, record a preferred generating
-    subset (not validated against closure).
+    subset (checked to be elements, not validated against closure).
     """
 
     def __init__(self, table, labels=None, generators=None, check=True):
         table = tuple(tuple(row) for row in table)
+        generators = tuple(generators) if generators is not None else None
         n = len(table)
         if check:
             for row in table:
@@ -43,10 +45,13 @@ class FiniteSemigroup:
                     for z in range(n):
                         if table[xy][z] != table[x][table[y][z]]:
                             raise NonAssociative(x, y, z)
+            for g in generators or ():
+                if not isinstance(g, int) or not 0 <= g < n:
+                    raise OutOfRangeEntry(f"generator {g!r} out of range [0, {n})")
         self.order = n
         self.table = table
         self.labels = tuple(labels) if labels is not None else None
-        self.generators = tuple(generators) if generators is not None else None
+        self.generators = generators
         self._green = None
         self._idempotents = None
         self._index_period = {}
@@ -147,9 +152,8 @@ class FiniteSemigroup:
 
     @classmethod
     def from_json_dict(cls, d):
-        sgp = from_table(d["table"], labels=d.get("labels"))
-        if d.get("generators") is not None:
-            sgp.generators = tuple(d["generators"])
+        sgp = from_table(d["table"], labels=d.get("labels"),
+                         generators=d.get("generators"))
         if "order" in d and d["order"] != sgp.order:
             raise OutOfRangeEntry("declared order does not match table")
         return sgp
@@ -675,6 +679,8 @@ def free_mul(kind, x, y, k):
 
 def _free_object(kind, k, letters):
     bounded = kind == "bounded_word"
+    if bounded and FREE_ZERO in letters:
+        raise PreconditionViolated(f"letter {FREE_ZERO!r} is the label of the zero")
     words = _words_upto(letters, k - 1 if bounded else k)
     if bounded:
         words.append(FREE_ZERO)

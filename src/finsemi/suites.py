@@ -27,6 +27,13 @@ from .pseudovarieties import (
 )
 
 
+# Sample sizes of the random suites: word pairs of thm61_words, and
+# certified term pairs and words of lemma69_terms.
+THM61_PAIRS = 10_000
+LEMMA69_PAIRS = 500
+LEMMA69_WORDS = 10_000
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -159,12 +166,11 @@ def suite_thm61_words(config):
     pairs."""
     report = SuiteReport("thm61_words")
     rng = random.Random(config.get("seed", 0))
-    n_pairs = config.get("pairs", 10_000)
     combos = [("Sl", 1), ("Sl", 2), ("K_2", 1), ("K_2", 2),
               ("D_2", 1), ("D_2", 2), ("N_2", 1), ("N_2", 2)]
     images = {c: dk.VdkImages(c[0], c[1]) for c in combos}
     proved_pairs = {c: [] for c in combos}
-    for _ in range(n_pairs):
+    for _ in range(THM61_PAIRS):
         letters = rng.choice(["ab", "abc", "a"])
         u, v = _word_pair(rng, letters)
         for combo in combos:
@@ -269,10 +275,9 @@ def suite_lemma69_terms(config):
     obligations hold exhaustively on samples."""
     report = SuiteReport("lemma69_terms")
     rng = random.Random(config.get("seed", 0))
-    target_pairs = config.get("pairs", 500)
     made = 0
     attempts = 0
-    while made < target_pairs and attempts < target_pairs * 40:
+    while made < LEMMA69_PAIRS and attempts < LEMMA69_PAIRS * 40:
         attempts += 1
         t = _random_term(rng, "ab")
         word0, exact = tm.prefix_word(t, 2)
@@ -308,11 +313,10 @@ def suite_lemma69_terms(config):
                       reason="component refuted on the R route")
             elif verdict.unknown:
                 report.unknown += 1
-    if made < target_pairs:
+    if made < LEMMA69_PAIRS:
         _fail(report, reason=f"only {made} certified pairs generated")
     # word-level obligations
-    n_words = config.get("words", 10_000)
-    for _ in range(n_words):
+    for _ in range(LEMMA69_WORDS):
         w = _random_word(rng, rng.choice(["ab", "abc"]), 10)
         report.checked += 1
         word = tuple(w)
@@ -382,7 +386,7 @@ def suite_thm610_regularity(config):
     for text in REGULARITY_SUITE:
         report.checked += 1
         t = tm.parse_term(text)
-        verdict = fz.ds_dk_regular(t, 1, cap=config.get("cap", 60))
+        verdict = fz.ds_dk_regular(t, 1)
         if verdict.unknown:
             report.unknown += 1
             continue

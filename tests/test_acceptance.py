@@ -112,7 +112,7 @@ def test_criterion_05_thm61_exactness():
     """>= 10^4 random word pairs, V in {Sl, K_2, D_2, N_2}, k in {1, 2}:
     the triple criterion agrees with free-object images, and proved pairs
     survive wreath-product spot checks."""
-    r = suites.run_suite("thm61_words", {"seed": 0, "pairs": 10_000})
+    r = suites.run_suite("thm61_words", {"seed": 0})
     msg = _line(5, "thm61_exactness", r)
     assert r.checked >= 10_000 * 8
     assert r.passed, msg
@@ -132,8 +132,7 @@ def test_criterion_07_lemma69_ilbf2():
     and componentwise R-route checks never refute; >= 10^4 random words:
     lbf uniqueness, recombination, and the degenerate conventions; unknown
     verdicts below 10%."""
-    r = suites.run_suite("lemma69_terms", {"seed": 0, "pairs": 500,
-                                           "words": 10_000})
+    r = suites.run_suite("lemma69_terms", {"seed": 0})
     msg = _line(7, "lemma69_ilbf2", r)
     assert r.unknown <= 0.10 * r.checked
     assert r.passed, msg

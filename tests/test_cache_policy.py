@@ -1,0 +1,77 @@
+"""The cache policy: a value that outlives a call is memoized with
+functools.cache on the function that computes it; derived data of one
+semigroup is cached on the instance.  The one hand-rolled memo is
+pseudovarieties._absorb_memo, whose in-progress sentinel a
+functools.cache cannot express."""
+
+import ast
+import random
+from pathlib import Path
+
+import finsemi
+from finsemi import factorization as fz
+from finsemi import pseudovarieties as pv
+from finsemi import suites
+from finsemi.corpus import all_semigroups_upto
+
+HAND_ROLLED = {"_absorb_memo"}
+
+
+def _none_or_empty(node):
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "dict", "list") and not node.args
+            and not node.keywords)
+
+
+def test_no_module_level_mutable_state():
+    offences = []
+    for path in sorted(Path(finsemi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                offences.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for target in targets:
+                if (isinstance(target, ast.Name) and target.id not in HAND_ROLLED
+                        and _none_or_empty(value)):
+                    offences.append(f"{path.name}:{node.lineno} {target.id}")
+    assert offences == []
+
+
+def test_canon_does_not_depend_on_call_order():
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        terms = [suites._random_term(rng, "ab") for _ in range(6000)]
+        pv.canon.cache_clear()
+        pv._absorb_memo.clear()
+        forward = [pv.canon(t) for t in terms]
+        pv.canon.cache_clear()
+        pv._absorb_memo.clear()
+        backward = [pv.canon(t) for t in reversed(terms)]
+        assert forward == backward[::-1], seed
+
+
+def test_the_corpus_is_shared():
+    corpus = all_semigroups_upto(4)
+    assert len(corpus) == 218
+    again = all_semigroups_upto(4)
+    assert all(S is T for S, T in zip(corpus, again, strict=True))
+    assert all(S is T for S, T in zip(all_semigroups_upto(3), corpus[:30], strict=True))
+    ids = {id(S) for S in corpus}
+    bank = {id(S) for S in pv._fast_bank()}
+    models = [S for S in pv._refutation_models(4) if id(S) not in bank]
+    assert len(models) == 218 and all(id(S) in ids for S in models)
+    r_members = fz._r_members()
+    assert r_members and all(id(S) in ids for S in r_members)

@@ -184,6 +184,7 @@ def test_dfa_json_round_trip():
     ("delta", [[0], [5]]),  # a target state out of range
     ("initial", 2),
     ("finals", [0, 7]),
+    ("states", 5),  # a declared state count that delta does not have
 ])
 def test_dfa_rejects_malformed_fields(field, value):
     d = {"alphabet": ["a"], "delta": [[0], [1]], "initial": 0, "finals": [1]}

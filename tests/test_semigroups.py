@@ -7,6 +7,7 @@ from finsemi.errors import (
     NonAssociative,
     NotIdempotent,
     OutOfRangeEntry,
+    PreconditionViolated,
     UnknownName,
 )
 
@@ -38,6 +39,8 @@ def test_from_table_rejects_non_associative():
 def test_from_table_rejects_out_of_range():
     with pytest.raises(OutOfRangeEntry):
         sg.from_table([[0, 2], [0, 1]])
+    with pytest.raises(OutOfRangeEntry):
+        sg.FiniteSemigroup.from_json_dict({"table": [[0]], "generators": [7]})
 
 
 def test_b2_relations():
@@ -349,7 +352,7 @@ def test_green_invariants():
     # R and L refine J, and a regular J-class has an idempotent in every
     # one of its R-classes
     from finsemi.corpus import all_semigroups_upto
-    for S in all_semigroups_upto(4) + catalog_semigroups():
+    for S in [*all_semigroups_upto(4), *catalog_semigroups()]:
         g = S.green()
         for x in range(S.order):
             for y in range(S.order):
@@ -371,6 +374,12 @@ def test_catalog_free_objects_are_free(name, v, k, letters):
     sizes = [len(letters) ** i for i in range(1, k + 1)]
     expected = sum(sizes[:-1]) + 1 if name == "free_n" else sum(sizes)
     assert S.order == expected
+
+
+def test_free_n_rejects_the_zero_label_as_a_letter():
+    with pytest.raises(PreconditionViolated):
+        sg.catalog("free_n", 2, "0a")
+    assert sg.catalog("free_n", 2, "ba").labels == ("b", "a", sg.FREE_ZERO)
 
 
 def test_wreath_fold_matches_the_table():
