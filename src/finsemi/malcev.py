@@ -136,7 +136,12 @@ def mu_z(S, Z):
 
 
 def mu_quotient(S, Z):
-    return sg.quotient(S, mu_z(S, Z))
+    """S / mu_Z, cached on S.  The congruence is not kept: it refers back to
+    S, and that cycle would leave S to the cyclic garbage collector."""
+    Q = S._derived.get(Z)
+    if Q is None:
+        Q = S._derived[Z] = sg.quotient(S, mu_z(S, Z))
+    return Q
 
 
 def malcev_member_with(S, Z, pred):

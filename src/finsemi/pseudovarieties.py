@@ -368,6 +368,11 @@ class PseudovarietyDef:
     monoidal: bool = False
     has_nontrivial_monoid: bool = True
 
+    # consistent with the generated __eq__, and cheap: the generated hash
+    # would walk every basis term on each verdict lookup
+    def __hash__(self):
+        return hash(self.name)
+
     def __str__(self):
         return self.name
 
@@ -470,10 +475,13 @@ def get_pseudovariety(name):
 
 
 def member(S, V):
-    """S in V, by checking every basis pseudoidentity of V."""
+    """S in V, by checking every basis pseudoidentity of V; cached on S."""
     if isinstance(V, str):
         V = get_pseudovariety(V)
-    return all(tm.satisfies(S, pi) for pi in V.basis)
+    verdict = S._derived.get(V)
+    if verdict is None:
+        verdict = S._derived[V] = all(tm.satisfies(S, pi) for pi in V.basis)
+    return verdict
 
 
 def dual_pseudovariety(V):

@@ -4,7 +4,9 @@ Semigroups are multiplication tables over dense element indices 0..n-1.
 Everything downstream (Green's relations, quotients, duals, products,
 division search, the named catalog) works on this representation.
 Instances are immutable after construction; derived data (Green's
-structure, idempotents, cyclic index/period) is computed once and cached.
+structure, idempotents, cyclic index/period, canonical form, local
+monoids, and the mu quotients and membership verdicts of other modules)
+is computed once and cached on the instance it is derived from.
 """
 
 from itertools import combinations, permutations, product
@@ -33,6 +35,10 @@ class FiniteSemigroup:
         generators = tuple(generators) if generators is not None else None
         n = len(table)
         if check:
+            if n == 0:
+                raise OutOfRangeEntry("table is empty")
+            if labels is not None and len(labels) != n:
+                raise OutOfRangeEntry(f"{len(labels)} labels for {n} elements")
             for row in table:
                 if len(row) != n:
                     raise OutOfRangeEntry("table is not square")
@@ -56,6 +62,10 @@ class FiniteSemigroup:
         self._idempotents = None
         self._index_period = {}
         self._canon = None
+        # derived semigroups and verdicts, keyed by e (an int) for local_monoid,
+        # Z (a str) for malcev.mu_quotient and V (a PseudovarietyDef) for
+        # pseudovarieties.member; the values hold no reference back to self
+        self._derived = {}
 
     def mul(self, x, y):
         return self.table[x][y]
@@ -242,14 +252,17 @@ def idempotents(S):
 
 
 def local_monoid(S, e):
-    """The local monoid eSe, as a FiniteSemigroup with identity e."""
-    if S.table[e][e] != e:
-        raise NotIdempotent(f"element {e} is not idempotent")
-    elems = sorted({S.table[S.table[e][x]][e] for x in range(S.order)})
-    idx = {x: i for i, x in enumerate(elems)}
-    table = [[idx[S.table[x][y]] for y in elems] for x in elems]
-    labels = [S.label(x) for x in elems] if S.labels else None
-    return FiniteSemigroup(table, labels=labels, check=False)
+    """The local monoid eSe, as a FiniteSemigroup with identity e; cached on S."""
+    M = S._derived.get(e)
+    if M is None:
+        if S.table[e][e] != e:
+            raise NotIdempotent(f"element {e} is not idempotent")
+        elems = sorted({S.table[S.table[e][x]][e] for x in range(S.order)})
+        idx = {x: i for i, x in enumerate(elems)}
+        table = [[idx[S.table[x][y]] for y in elems] for x in elems]
+        labels = [S.label(x) for x in elems] if S.labels else None
+        M = S._derived[e] = FiniteSemigroup(table, labels=labels, check=False)
+    return M
 
 
 def dual(S):

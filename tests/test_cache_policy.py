@@ -1,16 +1,21 @@
 """The cache policy: a value that outlives a call is memoized with
 functools.cache on the function that computes it; derived data of one
-semigroup is cached on the instance.  The one hand-rolled memo is
+semigroup (local monoids, mu quotients, membership verdicts) is cached on
+the instance and dies with it.  The one hand-rolled memo is
 pseudovarieties._absorb_memo, whose in-progress sentinel a
 functools.cache cannot express."""
 
 import ast
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import finsemi
 from finsemi import factorization as fz
+from finsemi import malcev as mv
 from finsemi import pseudovarieties as pv
+from finsemi import semigroups as sg
 from finsemi import suites
 from finsemi.corpus import all_semigroups_upto
 
@@ -75,3 +80,54 @@ def test_the_corpus_is_shared():
     assert len(models) == 218 and all(id(S) in ids for S in models)
     r_members = fz._r_members()
     assert r_members and all(id(S) in ids for S in r_members)
+
+
+def _fresh_b2():
+    return sg.FiniteSemigroup(sg.catalog("B2").table, check=False)
+
+
+def test_derived_semigroups_are_cached_on_the_instance():
+    S = _fresh_b2()
+    assert mv.mu_quotient(S, "K") is mv.mu_quotient(S, "K")
+    assert mv.mu_quotient(S, "K") is not mv.mu_quotient(S, "D")
+    e, f = sorted(S.idempotents())[:2]
+    assert sg.local_monoid(S, e) is sg.local_monoid(S, e)
+    assert sg.local_monoid(S, e) is not sg.local_monoid(S, f)
+    T = _fresh_b2()
+    assert mv.mu_quotient(T, "K") is not mv.mu_quotient(S, "K")
+    assert mv.mu_quotient(T, "K").table == mv.mu_quotient(S, "K").table
+
+
+def test_derived_data_dies_with_its_semigroup():
+    # no reference cycle may form: with the cyclic collector off, dropping
+    # the last reference must free the root and everything cached on it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        S = _fresh_b2()
+        for Z in mv.V_SET:
+            mv.malcev_member(S, Z, "Sl")
+            mv.locality_commutation_check(S, Z, "G")
+        D = sg.dual(S)
+        assert sg.is_isomorphic(sg.quotient(D, mv.mu_z(D, "K")),
+                                sg.dual(sg.quotient(S, mv.mu_z(S, "D"))))
+        e = min(S.idempotents())
+        refs = [weakref.ref(x) for x in
+                (S, D, mv.mu_quotient(S, "LI"), sg.local_monoid(S, e))]
+        assert S._derived
+        del S, D
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_member_verdicts_are_keyed_by_the_definition():
+    S = sg.FiniteSemigroup([[0, 0], [0, 1]], check=False)  # the two-element semilattice
+    catalog_sl = pv.get_pseudovariety("Sl")
+    trivial_sl = pv.load_pseudovariety(
+        {"name": "Sl", "basis": [{"lhs": "x1", "rhs": "x2"}]})
+    assert hash(trivial_sl) == hash(catalog_sl) and trivial_sl != catalog_sl
+    assert pv.member(S, "Sl") is True
+    assert pv.member(S, trivial_sl) is False
+    assert pv.member(S, catalog_sl) is True

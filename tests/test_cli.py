@@ -109,6 +109,18 @@ def test_usage_error(capsys, tmp_path):
     assert main(["member", "--v", "NOPE", "--input", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("semigroup", [
+    {"table": [[0, 0], [0, 1]], "labels": ["a"]},
+    {"table": []},
+])
+def test_malformed_semigroup_is_a_usage_error(capsys, tmp_path, semigroup):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(semigroup))
+    assert main(["malcev", "--z", "K", "--v", "Sl", "--input", str(path)]) == 2
+    assert main(["member", "--v", "Sl", "--input", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_budget_exit_code(capsys, tmp_path):
     # enumerate order 5 exceeds the exact-enumeration budget
     assert main(["enumerate", "--max-order", "5"]) == 3

@@ -230,3 +230,72 @@ def test_cross_validation_triangle():
             assert not memb
         # exactness of the witness search on this corpus
         assert (wit is not None) == memb
+
+
+# ---------------------------------------------------------------------------
+# The cached route against the uncached one: every step of the oracle below
+# runs on a fresh instance, so nothing it uses was cached before.
+
+
+def _fresh(S):
+    return sg.FiniteSemigroup(S.table, check=False)
+
+
+def _oracle_member(S, V):
+    T = _fresh(S)
+    return all(tm.satisfies(T, pi) for pi in V.basis)
+
+
+def _oracle_malcev_with(S, Z, pred):
+    comps = {"N": ("K", "D"), "NvG": ("KvG", "DvG")}.get(Z)
+    if comps:
+        return all(_oracle_malcev_with(S, c, pred) for c in comps)
+    T = _fresh(S)
+    return pred(sg.quotient(T, mv.mu_z(T, Z)))
+
+
+def _oracle_lv_member(S, V):
+    return all(_oracle_member(sg.local_monoid(_fresh(S), e), V)
+               for e in _fresh(S).idempotents())
+
+
+def _oracle_malcev_member(S, Z, V):
+    return _oracle_malcev_with(S, Z, lambda T: _oracle_member(T, V))
+
+
+def _oracle_locality(S, Z, V):
+    side_locals = all(_oracle_malcev_member(sg.local_monoid(_fresh(S), e), Z, V)
+                      for e in _fresh(S).idempotents())
+    side_mu = _oracle_malcev_with(S, Z, lambda T: _oracle_lv_member(T, V))
+    return side_locals == side_mu
+
+
+def _cached(S, kind, Z, V):
+    if kind == "lv":
+        return mv.lv_member(S, V)
+    if kind == "malcev":
+        return mv.malcev_member(S, Z, V)
+    return mv.locality_commutation_check(S, Z, V)
+
+
+def _oracle(S, kind, Z, V):
+    if kind == "lv":
+        return _oracle_lv_member(S, V)
+    if kind == "malcev":
+        return _oracle_malcev_member(S, Z, V)
+    return _oracle_locality(S, Z, V)
+
+
+def test_cached_route_matches_the_uncached_route():
+    local_v = [pv.get_pseudovariety(v) for v in ("Sl", "G", "A")]
+    calls = [("lv", None, V) for V in local_v]
+    calls += [(kind, Z, V) for Z in mv.V_SET for V in local_v
+              for kind in ("malcev", "locality")]
+    for S in all_semigroups_upto(4):
+        T = _fresh(S)
+        forward = [_cached(T, *c) for c in calls]
+        backward = [_cached(T, *c) for c in reversed(calls)][::-1]
+        U = _fresh(S)
+        cold_backward = [_cached(U, *c) for c in reversed(calls)][::-1]
+        oracle = [_oracle(S, *c) for c in calls]
+        assert forward == backward == cold_backward == oracle, S.table

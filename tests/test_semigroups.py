@@ -41,6 +41,12 @@ def test_from_table_rejects_out_of_range():
         sg.from_table([[0, 2], [0, 1]])
     with pytest.raises(OutOfRangeEntry):
         sg.FiniteSemigroup.from_json_dict({"table": [[0]], "generators": [7]})
+    with pytest.raises(OutOfRangeEntry):
+        sg.FiniteSemigroup.from_json_dict({"table": [[0, 0], [0, 1]], "labels": ["a"]})
+    with pytest.raises(OutOfRangeEntry):
+        sg.from_table([[0]], labels=["a", "b"])
+    with pytest.raises(OutOfRangeEntry):
+        sg.FiniteSemigroup.from_json_dict({"table": []})
 
 
 def test_b2_relations():
