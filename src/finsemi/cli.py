@@ -78,12 +78,13 @@ def cmd_member(args):
 
 def cmd_malcev(args):
     S = _load_semigroup(args.input)
-    ok = mv.malcev_member(S, args.z, args.v)
+    V = _load_pseudovariety(args.v)
+    ok = mv.malcev_member(S, args.z, V)
     out = {"member": ok}
     if args.z not in ("N", "NvG"):
         out["mu_quotient_order"] = mv.mu_quotient(S, args.z).order
     if ok:
-        witness = mv.witness_homomorphism(S, args.z, args.v)
+        witness = mv.witness_homomorphism(S, args.z, V)
         if witness is not None:
             c, Q = witness
             out["witness"] = {"classes": [sorted(x) for x in c.classes],

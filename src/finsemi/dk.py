@@ -8,7 +8,12 @@ lifting to omega-terms possible.
 
 Satisfaction u = v over V * D_k is decided by the triple criterion:
 equal length-k prefixes, equal length-k suffixes, and V |= the window
-images.  Word images live in a finite relatively free object whenever
+images.  Two plain words are decided by slicing: ends and windows are
+tuple slices, and word_problem_equal compares the block tuples.  Terms
+are decided by the structural lifting, which is also the differential
+oracle of the slicing path.
+
+Word images live in a finite relatively free object whenever
 V's free objects are finite (Sl, K_m, D_m, N_m, D_j); its elements are
 short words plus (prefix, suffix, V-value) triples.
 """
@@ -47,12 +52,15 @@ class WindowWord:
         return ["".join(map(str, b)) for b in self.blocks]
 
 
+def _windows(w, k):
+    """The consecutive length-(k+1) factors of a word tuple, by slicing:
+    none when |w| <= k."""
+    return tuple(w[i:i + k + 1] for i in range(len(w) - k))
+
+
 def phi_k(u, k):
     """Window word of a plain word: empty when |u| <= k."""
-    w = tm._as_word(u)
-    if len(w) <= k:
-        return WindowWord(k, ())
-    return WindowWord(k, tuple(w[i:i + k + 1] for i in range(len(w) - k)))
+    return WindowWord(k, _windows(tm._as_word(u), k))
 
 
 def c_k1(u, k):
@@ -149,9 +157,22 @@ def _criterion_characterizes(V):
     return V.has_nontrivial_monoid or V.name in ("K", "D", "N")
 
 
+def _word_prefix(w, k):
+    return w[:k]
+
+
+def _word_suffix(w, k):
+    return w[max(len(w) - k, 0):]
+
+
 def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
     """Does V * D_k satisfy u = v, by the triple criterion: equal
     length-k prefixes and suffixes, and V |= phi_k(u) = phi_k(v).
+
+    Two plain words are compared by slicing: their ends, and their window
+    words as tuples of blocks, which word_problem_equal decides.  Any
+    omega-term (a plain word next to one is spelled out as a term) goes
+    through beta_k, tau_k and the structural lifting phi_k_term.
 
     When the criterion does not characterize V * D_k (bounded-memory V
     like a raw D_j) the call raises unless `require_nontrivial_monoid`
@@ -163,18 +184,23 @@ def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
         raise PreconditionViolated(
             f"{V.name} contains no nontrivial monoid; the triple criterion "
             f"does not characterize {V.name} * D_k")
-    if not isinstance(u, tm.Term):
-        u = tm.word_term(tm._as_word(u))
-    if not isinstance(v, tm.Term):
-        v = tm.word_term(tm._as_word(v))
-    if tm.beta_k(u, k) != tm.beta_k(v, k):
+    if isinstance(u, tm.Term) or isinstance(v, tm.Term):
+        u, v = (t if isinstance(t, tm.Term) else tm.word_term(tm._as_word(t))
+                for t in (u, v))
+        prefix, suffix, image = tm.beta_k, tm.tau_k, phi_k_term
+    else:
+        u, v = tm._as_word(u), tm._as_word(v)
+        if not u or not v:
+            raise ValueError("empty concatenation")
+        prefix, suffix, image = _word_prefix, _word_suffix, _windows
+    if prefix(u, k) != prefix(v, k):
         return refuted("length-k prefixes differ")
-    if tm.tau_k(u, k) != tm.tau_k(v, k):
+    if suffix(u, k) != suffix(v, k):
         return refuted("length-k suffixes differ")
-    pu, pv_ = phi_k_term(u, k), phi_k_term(v, k)
-    if pu is None and pv_ is None:
+    pu, pv_ = image(u, k), image(v, k)  # None or () for an empty image
+    if not pu and not pv_:
         return PROVED
-    if pu is None or pv_ is None:
+    if not pu or not pv_:
         return refuted("one window image is empty, the other is not")
     return word_problem_equal(V, pu, pv_)
 

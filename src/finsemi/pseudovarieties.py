@@ -544,15 +544,32 @@ def _free_group_word(t):
     return out
 
 
+# Word problems that word_problem_equal decides on plain words by slicing.
+_SLICEABLE = frozenset({"SL_CONTENT", "BOUNDED_PREFIX", "BOUNDED_SUFFIX",
+                        "BOUNDED_WORD"})
+
+
 def word_problem_equal(V, u, v):
-    """Exact or semi-decision of V |= u = v via V's word problem."""
+    """Exact or semi-decision of V |= u = v via V's word problem.
+
+    u and v are omega-terms, or both plain nonempty words (sequences of
+    symbols).  Plain words are sliced for Sl, K_m, D_m and N_m and spelled
+    out as terms for every other word problem."""
     if isinstance(V, str):
         V = get_pseudovariety(V)
     wp = V.word_problem
     if wp is None:
         raise ValueError(f"{V.name} has no word problem")
+    words = not isinstance(u, tm.Term) and not isinstance(v, tm.Term)
+    if words:
+        u, v = tm._as_word(u), tm._as_word(v)
+        if not u or not v:
+            raise ValueError("empty concatenation")
+        if wp not in _SLICEABLE:
+            u, v, words = tm.word_term(u), tm.word_term(v), False
     if wp == "SL_CONTENT":
-        return PROVED if tm.content(u) == tm.content(v) else refuted("content differs")
+        same = set(u) == set(v) if words else tm.content(u) == tm.content(v)
+        return PROVED if same else refuted("content differs")
     if wp == "K_PREFIX":
         cu, cv = tm.left_contour(u), tm.left_contour(v)
         return PROVED if cu == cv else refuted("left contours differ")
@@ -573,18 +590,23 @@ def word_problem_equal(V, u, v):
         # words of length m are identified with all their extensions, so
         # only the (length <= m)-prefix matters, not the exactness flag
         m = V.word_problem_bound
-        return PROVED if tm.beta_k(u, m) == tm.beta_k(v, m) \
-            else refuted(f"prefixes of length {m} differ")
+        same = u[:m] == v[:m] if words else tm.beta_k(u, m) == tm.beta_k(v, m)
+        return PROVED if same else refuted(f"prefixes of length {m} differ")
     if wp == "BOUNDED_SUFFIX":
         m = V.word_problem_bound
-        return PROVED if tm.tau_k(u, m) == tm.tau_k(v, m) \
-            else refuted(f"suffixes of length {m} differ")
+        same = u[-m:] == v[-m:] if words else tm.tau_k(u, m) == tm.tau_k(v, m)
+        return PROVED if same else refuted(f"suffixes of length {m} differ")
     if wp == "BOUNDED_WORD":
+        # a word shorter than m is its own element; every other is the zero
         m = V.word_problem_bound
-        wu, eu = tm.prefix_word(u, m - 1) if m > 1 else ((), False)
-        wv, ev = tm.prefix_word(v, m - 1) if m > 1 else ((), False)
-        iu = wu if eu else None
-        iv = wv if ev else None
+        if words:
+            iu = u if len(u) < m else None
+            iv = v if len(v) < m else None
+        else:
+            wu, eu = tm.prefix_word(u, m - 1) if m > 1 else ((), False)
+            wv, ev = tm.prefix_word(v, m - 1) if m > 1 else ((), False)
+            iu = wu if eu else None
+            iv = wv if ev else None
         return PROVED if iu == iv else refuted(f"distinct in the free N_{m} object")
     raise ValueError(f"unknown word problem id {wp!r}")
 

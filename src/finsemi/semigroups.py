@@ -22,6 +22,12 @@ from .errors import (
 )
 
 
+def _is_element(v, n):
+    """Whether v is an element index of an order-n table; booleans are
+    not, although bool is a subclass of int."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
 class FiniteSemigroup:
     """A finite semigroup given by its Cayley table.
 
@@ -43,7 +49,7 @@ class FiniteSemigroup:
                 if len(row) != n:
                     raise OutOfRangeEntry("table is not square")
                 for v in row:
-                    if not isinstance(v, int) or not 0 <= v < n:
+                    if not _is_element(v, n):
                         raise OutOfRangeEntry(f"entry {v!r} out of range [0, {n})")
             for x in range(n):
                 for y in range(n):
@@ -52,7 +58,7 @@ class FiniteSemigroup:
                         if table[xy][z] != table[x][table[y][z]]:
                             raise NonAssociative(x, y, z)
             for g in generators or ():
-                if not isinstance(g, int) or not 0 <= g < n:
+                if not _is_element(g, n):
                     raise OutOfRangeEntry(f"generator {g!r} out of range [0, {n})")
         self.order = n
         self.table = table

@@ -112,6 +112,8 @@ def test_usage_error(capsys, tmp_path):
 @pytest.mark.parametrize("semigroup", [
     {"table": [[0, 0], [0, 1]], "labels": ["a"]},
     {"table": []},
+    {"table": [[False]]},
+    {"table": [[0, 1], [1, 0]], "generators": [True]},
 ])
 def test_malformed_semigroup_is_a_usage_error(capsys, tmp_path, semigroup):
     path = tmp_path / "bad.json"
@@ -126,13 +128,20 @@ def test_budget_exit_code(capsys, tmp_path):
     assert main(["enumerate", "--max-order", "5"]) == 3
 
 
-def test_member_custom_pseudovariety(capsys, tmp_path, lz2_file):
+def test_member_custom_pseudovariety(capsys, tmp_path, lz2_file, b2_file):
     pv_file = tmp_path / "myk.json"
     pv_file.write_text(json.dumps(
         {"name": "myK", "basis": [{"lhs": "x1^w x2", "rhs": "x1^w"}]}))
     assert main(["member", "--v", f"@{pv_file}", "--input", lz2_file]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"member": True, "pseudovariety": "myK"}
+    # malcev loads the same file
+    assert main(["malcev", "--z", "K", "--v", f"@{pv_file}",
+                 "--input", lz2_file]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["member"] is True and "witness" in out
+    assert main(["malcev", "--z", "LG", "--v", f"@{pv_file}",
+                 "--input", b2_file]) == 1
 
 
 def test_permanence_counterexample_replays(capsys, tmp_path):

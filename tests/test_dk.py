@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsemi import dk
+from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
+from finsemi import suites
 from finsemi import terms as tm
 from finsemi.errors import BudgetExceeded, PreconditionViolated, UnsupportedShape
 
@@ -199,6 +201,69 @@ def test_free_object_budget():
         dk.free_object_vdk("Sl", "abcd", 1)
     with pytest.raises(BudgetExceeded):
         dk.free_object_vdk("Sl", "ab", 3)
+
+
+@pytest.mark.parametrize("Vn", ["Sl", "K"])
+@pytest.mark.parametrize("u, v", [("", "a"), ("a", ""), ("", "")])
+def test_vdk_satisfies_rejects_empty_words(Vn, u, v):
+    with pytest.raises(ValueError, match="empty concatenation"):
+        dk.vdk_satisfies(Vn, 1, u, v)
+
+
+# The eight (V, k) of the thm61 suite; K and D, whose word problems have no
+# slicing rule and so go through terms; one bound-3 family each.
+PATH_COMBOS = [("Sl", 1), ("Sl", 2), ("K_2", 1), ("K_2", 2), ("D_2", 1),
+               ("D_2", 2), ("N_2", 1), ("N_2", 2), ("K", 1), ("D", 2),
+               ("K_3", 2), ("D_3", 1), ("N_3", 1)]
+
+
+def assert_word_path_matches_term_path(Vn, k, u, v):
+    """The whole verdict, witness included, of two plain words equals that
+    of the same words spelled out as terms."""
+    word = dk.vdk_satisfies(Vn, k, u, v, require_nontrivial_monoid=False)
+    term = dk.vdk_satisfies(Vn, k, tm.word_term(u), tm.word_term(v),
+                            require_nontrivial_monoid=False)
+    assert word == term, (Vn, k, u, v)
+
+
+def test_word_path_matches_term_path_on_random_pairs(monkeypatch):
+    # the slicing path must not fold through the free-object rules, which
+    # the VdkImages oracle uses
+    def forbidden(*args):
+        raise AssertionError("the word path used the free-object rules")
+    monkeypatch.setattr(sg, "free_value", forbidden)
+    monkeypatch.setattr(sg, "free_mul", forbidden)
+    rng = random.Random(6)
+    for _ in range(2000):
+        u, v = suites._word_pair(rng, rng.choice(("a", "ab", "abc")))
+        for Vn, k in PATH_COMBOS:
+            assert_word_path_matches_term_path(Vn, k, u, v)
+
+
+@pytest.mark.parametrize("u, v", [
+    ("ab", "ab"), ("ab", "ba"), ("a", "aa"), ("ab", "abab"),  # k above both
+    ("aba", "abaaba"), ("abc", "abcabc"), ("ab", "abba"),  # one short word
+])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+def test_word_path_matches_term_path_on_short_words(u, v, k):
+    for Vn, _ in PATH_COMBOS:
+        assert_word_path_matches_term_path(Vn, k, u, v)
+        assert_word_path_matches_term_path(Vn, k, v, u)
+
+
+@pytest.mark.parametrize("Vn", ["Sl", "K_2", "D_2", "N_2", "K_3", "D_3", "N_3"])
+def test_word_problem_on_blocks_matches_terms(Vn):
+    rng = random.Random(9)
+    for _ in range(400):
+        u, v = suites._word_pair(rng, rng.choice(("ab", "abc")))
+        for k in (0, 1, 2):
+            bu, bv = dk._windows(tuple(u), k), dk._windows(tuple(v), k)
+            if bu and bv:
+                assert (pv.word_problem_equal(Vn, bu, bv)
+                        == pv.word_problem_equal(Vn, tm.word_term(bu),
+                                                 tm.word_term(bv))), (Vn, u, v, k)
+        assert (pv.word_problem_equal(Vn, u, v)
+                == pv.word_problem_equal(Vn, tm.word_term(u), tm.word_term(v)))
 
 
 def test_vdk_agreement_with_free_object_images():

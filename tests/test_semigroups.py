@@ -47,6 +47,12 @@ def test_from_table_rejects_out_of_range():
         sg.from_table([[0]], labels=["a", "b"])
     with pytest.raises(OutOfRangeEntry):
         sg.FiniteSemigroup.from_json_dict({"table": []})
+    # bool is a subclass of int, but true/false are not element indices
+    with pytest.raises(OutOfRangeEntry):
+        sg.FiniteSemigroup.from_json_dict({"table": [[False]]})
+    with pytest.raises(OutOfRangeEntry):
+        sg.FiniteSemigroup.from_json_dict({"table": [[0, 1], [1, 0]],
+                                           "generators": [True]})
 
 
 def test_b2_relations():
