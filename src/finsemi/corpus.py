@@ -3,7 +3,7 @@
 Tables are searched by backtracking over cells with incremental
 associativity pruning, then deduplicated by canonical form (the
 lexicographically minimal table over all relabelings).  Exact for
-orders <= 4; order 5 is available only in sampled form.
+orders <= 4; larger orders raise BudgetExceeded.
 
 Corpora are keyed by isomorphism, not anti-isomorphism, so a semigroup
 and its dual occur as distinct entries whenever they are not isomorphic.
@@ -16,7 +16,6 @@ is computed once per process.
 """
 
 import json
-import random
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -127,59 +126,20 @@ def _flags(S):
 
 
 @cache
-def enumerate_semigroups(n, sample=None, seed=0):
-    """All semigroups of order n up to isomorphism (exact for n <= 4).
-
-    For n = 5 a sampled list of `sample` distinct isomorphism classes is
-    produced instead; larger orders and full order-5 raise BudgetExceeded.
-    """
+def enumerate_semigroups(n):
+    """All semigroups of order n up to isomorphism, exact for n <= 4;
+    larger orders raise BudgetExceeded."""
     if n <= 0:
         return ()
-    if n > 5 or (n == 5 and sample is None):
+    if n > 4:
         raise BudgetExceeded("exact enumeration limited to order <= 4")
-    if n <= 4:
-        canon_set = {sg.canonical_form(table) for table in _labeled_tables(n)}
-        prefix, provenance = f"S{n}_", "enumerated"
-    else:
-        rng = random.Random(seed)
-        canon_set = set()
-        attempts = 0
-        while len(canon_set) < sample and attempts < sample * 2000:
-            attempts += 1
-            table = _random_semigroup_table(n, rng)
-            if table is not None:
-                canon_set.add(sg.canonical_form(table))
-        prefix, provenance = f"S{n}s_", "enumerated-sampled"
+    canon_set = {sg.canonical_form(table) for table in _labeled_tables(n)}
     entries = []
     for i, flat in enumerate(sorted(canon_set)):
         table = _unflatten(flat, n)
         S = sg.FiniteSemigroup(table, check=False)
-        entries.append(CorpusEntry(f"{prefix}{i}", n, table, _flags(S), provenance))
+        entries.append(CorpusEntry(f"S{n}_{i}", n, table, _flags(S)))
     return tuple(entries)
-
-
-def _random_semigroup_table(n, rng):
-    """Randomized backtracking completion; None when the branch dies."""
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    table = [[None] * n for _ in range(n)]
-
-    def rec(k):
-        if k == len(cells):
-            return True
-        i, j = cells[k]
-        vals = list(range(n))
-        rng.shuffle(vals)
-        for v in vals:
-            table[i][j] = v
-            if _assoc_ok_after(table, n, i, j):
-                if rec(k + 1):
-                    return True
-        table[i][j] = None
-        return False
-
-    if rec(0):
-        return tuple(tuple(row) for row in table)
-    return None
 
 
 def naive_enumerate(n):

@@ -131,8 +131,6 @@ def phi_k_term(t, k):
                 raise UnsupportedShape(
                     "p^omega power of a base shorter than k+1 is not liftable")
             pieces = [tm.power(tm.word_term(wbase * j), q2)] if q2 != 0 else []
-            if isinstance(q2, int) and q2 == 0:
-                pieces = []
             if r:
                 pieces.append(tm.word_term(wbase * r))
             return phi_k_term(tm.concat(*pieces), k)
@@ -269,39 +267,25 @@ class FreeDkObject(VdkImages):
     """The triple algebra materialized over a fixed alphabet: the
     relatively free object with its multiplication table."""
 
-    def __init__(self, V, alphabet, k, budget=4096):
+    def __init__(self, V, alphabet, k):
         super().__init__(V, k)
         self.alphabet = tuple(alphabet)
-        elems = [("short", (a,)) for a in self.alphabet]
-        index = {e: i for i, e in enumerate(elems)}
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for e1 in frontier:
-                for e2 in list(elems):
-                    for prod_ in (self._mul(e1, e2), self._mul(e2, e1)):
-                        if prod_ not in index:
-                            if len(elems) >= budget:
-                                raise BudgetExceeded(
-                                    f"free object exceeds {budget} elements")
-                            index[prod_] = len(elems)
-                            elems.append(prod_)
-                            new.append(prod_)
-            frontier = new
+        letters = [("short", (a,)) for a in self.alphabet]
+        elems, index = sg.closure(letters, self._mul)
         self.elements = elems
         self.index = index
-        table = [[index[self._mul(e1, e2)] for e2 in elems] for e1 in elems]
-        self.semigroup = sg.FiniteSemigroup(table, check=False)
-        self.generator_indices = tuple(index[("short", (a,))] for a in self.alphabet)
+        self.semigroup = sg.FiniteSemigroup(sg.cayley(elems, index, self._mul),
+                                            check=False)
+        self.generator_indices = tuple(index[e] for e in letters)
 
 
-def free_object_vdk(V, alphabet, k, budget=4096):
+def free_object_vdk(V, alphabet, k):
     if len(tuple(alphabet)) > 3 or k > 2:
         raise BudgetExceeded("free objects guarded to |A| <= 3, k <= 2")
-    return FreeDkObject(V, alphabet, k, budget=budget)
+    return FreeDkObject(V, alphabet, k)
 
 
-def member_vdk(S, V, k, budget=4096):
+def member_vdk(S, V, k):
     """Whether S lies in V * D_k, for V with a finite free-object backend:
     S must be a quotient of the relatively free object on as many letters
     as a minimal generating set of S."""
@@ -310,8 +294,8 @@ def member_vdk(S, V, k, budget=4096):
     if g > 3:
         raise BudgetExceeded("member_vdk requires a generating set of size <= 3")
     letters = ("a", "b", "c")[:g]
-    F = free_object_vdk(V, letters, k, budget=budget)
-    return any(sg.generate(S, tup).order == S.order
+    F = free_object_vdk(V, letters, k)
+    return any(len(sg.closure(tup, S.mul)[0]) == S.order
                and sg.extends_to_homomorphism(F.semigroup, S,
                                               zip(F.generator_indices, tup))
                for tup in product(range(S.order), repeat=g))

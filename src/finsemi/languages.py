@@ -304,31 +304,15 @@ class SyntacticSemigroup:
 
 def syntactic_semigroup(d):
     """Transition semigroup of the minimal DFA: closure of the letter maps
-    under composition."""
+    under composition, within sg.CLOSURE_BUDGET elements."""
     d = minimize(d)
-    n = d.states
-    letter_maps = []
-    for a in range(len(d.alphabet)):
-        letter_maps.append(tuple(d.delta[q][a] for q in range(n)))
-    maps = []
-    index = {}
-    for mp in letter_maps:
-        if mp not in index:
-            index[mp] = len(maps)
-            maps.append(mp)
-    frontier = list(maps)
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in list(maps):
-                for h in (tuple(g[f[q]] for q in range(n)),
-                          tuple(f[g[q]] for q in range(n))):
-                    if h not in index:
-                        index[h] = len(maps)
-                        maps.append(h)
-                        new.append(h)
-        frontier = new
-    table = [[index[tuple(g[f[q]] for q in range(n))] for g in maps] for f in maps]
+    letter_maps = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
+
+    def compose(f, g):  # f, then g
+        return tuple(map(g.__getitem__, f))
+
+    maps, index = sg.closure(letter_maps, compose)
+    table = sg.cayley(maps, index, compose)
     S = sg.FiniteSemigroup(table, check=False)
     letter_of = {d.alphabet[a]: index[letter_maps[a]] for a in range(len(d.alphabet))}
     accepting = frozenset(i for i, mp in enumerate(maps) if mp[d.initial] in d.finals)

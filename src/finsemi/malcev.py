@@ -241,13 +241,13 @@ def pinweil_refute(S, z_basis, V, budget=4000):
     return None
 
 
-def witness_homomorphism(S, Z, V, budget=10):
+def witness_homomorphism(S, Z, V):
     """A congruence whose quotient is in V with every idempotent-class
-    preimage in Z, or None.  Exact for orders within the budget."""
+    preimage in Z, or None.  Exact up to sg.CONGRUENCE_MAX_ORDER."""
     if isinstance(V, str):
         V = get_pseudovariety(V)
     z_def = get_pseudovariety(Z) if isinstance(Z, str) else Z
-    for c in sg.congruences(S, budget=budget):
+    for c in sg.congruences(S):
         Q = sg.quotient(S, c)
         if not member(Q, V):
             continue

@@ -249,14 +249,6 @@ def _compute_green(S):
                      frozenset(j_order), regular_j, r_of, l_of, j_of, h_of)
 
 
-def green(S):
-    return S.green()
-
-
-def idempotents(S):
-    return S.idempotents()
-
-
 def local_monoid(S, e):
     """The local monoid eSe, as a FiniteSemigroup with identity e; cached on S."""
     M = S._derived.get(e)
@@ -397,34 +389,51 @@ def adjoin_identity_if_missing(S):
     return S if S.is_monoid() else adjoin_identity(S)
 
 
+CLOSURE_BUDGET = 4096
+
+
+def closure(gens, mul):
+    """The elements generated by `gens` under the associative product
+    `mul`, as (elements, index) with index[e] the position of e.
+
+    The order is breadth-first: the distinct generators first, then each
+    element in turn multiplied on both sides against every element known
+    at that point.  Raises BudgetExceeded past CLOSURE_BUDGET elements."""
+    elems = []
+    index = {}
+
+    def add(e):
+        if e not in index:
+            if len(elems) >= CLOSURE_BUDGET:
+                raise BudgetExceeded(f"closure exceeds {CLOSURE_BUDGET} elements")
+            index[e] = len(elems)
+            elems.append(e)
+
+    for g in gens:
+        add(g)
+    for x in elems:  # the list grows while iterated: it is the queue
+        for y in elems[:]:
+            add(mul(x, y))
+            add(mul(y, x))
+    return elems, index
+
+
+def cayley(elems, index, mul):
+    """The multiplication table of `elems` under `mul`, reindexed by `index`."""
+    return [[index[mul(x, y)] for y in elems] for x in elems]
+
+
 def generate(ambient, subset):
     """Subsemigroup of `ambient` generated by `subset`, reindexed."""
     subset = list(subset)
     if not subset:
         raise ValueError("generate requires a nonempty subset")
-    elems = []
-    seen = set()
-    for x in subset:
-        if x not in seen:
-            seen.add(x)
-            elems.append(x)
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in elems:
-                for z in (ambient.table[x][y], ambient.table[y][x]):
-                    if z not in seen:
-                        seen.add(z)
-                        new.append(z)
-        elems.extend(new)
-        frontier = new
-    elems = sorted(seen)
+    elems = sorted(closure(subset, ambient.mul)[0])
     idx = {x: i for i, x in enumerate(elems)}
-    table = [[idx[ambient.table[x][y]] for y in elems] for x in elems]
     labels = [ambient.label(x) for x in elems] if ambient.labels else None
     gens = [idx[x] for x in subset]
-    return FiniteSemigroup(table, labels=labels, generators=gens, check=False)
+    return FiniteSemigroup(cayley(elems, idx, ambient.mul), labels=labels,
+                           generators=gens, check=False)
 
 
 def minimal_generating_set(S):
@@ -435,18 +444,7 @@ def minimal_generating_set(S):
     forced = [x for x in range(n) if x not in products]
 
     def closes(gens):
-        seen = set(gens)
-        frontier = list(gens)
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in seen.copy():
-                    for z in (S.table[x][y], S.table[y][x]):
-                        if z not in seen:
-                            seen.add(z)
-                            new.append(z)
-            frontier = new
-        return len(seen) == n
+        return len(closure(gens, S.mul)[0]) == n
 
     rest = [x for x in range(n) if x not in forced]
     if closes(forced):
@@ -528,35 +526,27 @@ def wreath_product(T, D, budget=200_000):
     return FiniteSemigroup(table, check=False)
 
 
-def congruences(S, budget=10):
-    """All congruences of S: principal congruences closed under join."""
-    if S.order > budget:
-        raise BudgetExceeded(f"congruence search on order {S.order} exceeds budget {budget}")
-    found = {identity_congruence(S).classes}
-    queue = []
-    for a in range(S.order):
-        for b in range(a + 1, S.order):
-            c = congruence_from_pairs(S, [(a, b)])
-            if c.classes not in found:
-                found.add(c.classes)
-                queue.append(c)
-    # Close under pairwise join; every congruence is a join of principals.
-    changed = True
-    while changed:
-        changed = False
-        current = [Congruence(S, cls, check=False) for cls in found]
-        for c1 in current:
-            for c2 in current:
-                pairs = [(min(cls), x) for cls in c1.classes for x in cls]
-                pairs += [(min(cls), x) for cls in c2.classes for x in cls]
-                j = congruence_from_pairs(S, pairs)
-                if j.classes not in found:
-                    found.add(j.classes)
-                    changed = True
-    for cls in sorted(found, key=lambda cs: (len(cs), cs)):
+def congruences(S):
+    """All congruences of S, by number of classes and then by classes:
+    the identity congruence and the closure of the principal congruences
+    under join (every congruence is a join of principal ones)."""
+    if S.order > CONGRUENCE_MAX_ORDER:
+        raise BudgetExceeded(f"congruence search on order {S.order} exceeds "
+                             f"{CONGRUENCE_MAX_ORDER}")
+
+    def join(c1, c2):
+        pairs = [(min(cls), x) for cls in c1 + c2 for x in cls]
+        return congruence_from_pairs(S, pairs).classes
+
+    principal = [congruence_from_pairs(S, [(a, b)]).classes
+                 for a in range(S.order) for b in range(a + 1, S.order)]
+    found = set(closure(principal, join)[0])
+    found.add(identity_congruence(S).classes)
+    for cls in sorted(found, key=lambda cs: (len(cs), [sorted(c) for c in cs])):
         yield Congruence(S, cls, check=False)
 
 
+CONGRUENCE_MAX_ORDER = 10
 CANON_MAX_ORDER = 8
 
 

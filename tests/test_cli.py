@@ -128,6 +128,13 @@ def test_budget_exit_code(capsys, tmp_path):
     assert main(["enumerate", "--max-order", "5"]) == 3
 
 
+def test_syn_budget_exit_code(monkeypatch):
+    # the syntactic semigroup of (ab)+ is B2, of order 5
+    assert main(["syn", "--regex", "(ab)+"]) == 0
+    monkeypatch.setattr(sg, "CLOSURE_BUDGET", 3)
+    assert main(["syn", "--regex", "(ab)+"]) == 3
+
+
 def test_member_custom_pseudovariety(capsys, tmp_path, lz2_file, b2_file):
     pv_file = tmp_path / "myk.json"
     pv_file.write_text(json.dumps(

@@ -50,11 +50,6 @@ def test_flags():
 def test_order_five_modes():
     with pytest.raises(BudgetExceeded):
         cp.enumerate_semigroups(5)
-    sampled = cp.enumerate_semigroups(5, sample=5, seed=1)
-    assert len(sampled) == 5
-    for e in sampled:
-        assert e.provenance == "enumerated-sampled"
-        sg.from_table(e.table)  # associativity validated
 
 
 def test_jsonl_round_trip(tmp_path):

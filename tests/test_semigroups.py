@@ -272,6 +272,43 @@ def test_congruences_b2_against_brute_force():
     assert len(list(sg.congruences(B2))) == count
 
 
+def test_congruences_in_canonical_order():
+    from finsemi import corpus as cp
+    for S in (sg.catalog("B2"),) + cp.all_semigroups_upto(3):
+        keys = [(len(c), [sorted(cls) for cls in c.classes]) for c in sg.congruences(S)]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), S.table
+
+
+def test_closure_order_index_and_closedness():
+    B2 = sg.catalog("B2")
+    gens = [1, 0, 1, 0]
+    elems, index = sg.closure(gens, B2.mul)
+    assert elems[:2] == [1, 0]  # distinct generators first, in order
+    assert sorted(elems) == list(range(5))
+    assert all(index[e] == i for i, e in enumerate(elems))
+    assert len(index) == len(elems)
+    for x in elems:
+        for y in elems:
+            assert B2.mul(x, y) in index
+    # a subsemigroup: the idempotent ab alone closes at once
+    assert sg.closure([2], B2.mul) == ([2], {2: 0})
+    assert sg.closure([], B2.mul) == ([], {})
+
+
+def test_closure_budget_bounds_every_caller(monkeypatch):
+    from finsemi import dk
+    from finsemi import languages as lg
+    monkeypatch.setattr(sg, "CLOSURE_BUDGET", 3)
+    with pytest.raises(BudgetExceeded):
+        sg.closure([0, 1], sg.catalog("B2").mul)
+    with pytest.raises(BudgetExceeded):
+        lg.syntactic_semigroup(lg.parse_regex("(ab)+"))
+    with pytest.raises(BudgetExceeded):
+        dk.free_object_vdk("Sl", "ab", 1)
+    with pytest.raises(BudgetExceeded):
+        list(sg.congruences(sg.catalog("null", 4)))
+
+
 def test_wreath_trivial_by_trivial():
     T = sg.catalog("trivial")
     W = sg.wreath_product(T, T)
