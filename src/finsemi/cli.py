@@ -221,6 +221,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a corpus of no semigroups would pass every check vacuously
+    if getattr(args, "max_order", 1) < 1:
+        parser.error(f"--max-order must be at least 1, got {args.max_order}")
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

@@ -1,9 +1,13 @@
 """Exhaustive enumeration of small semigroups up to isomorphism.
 
-Tables are searched by backtracking over cells with incremental
-associativity pruning, then deduplicated by canonical form (the
-lexicographically minimal table over all relabelings).  Exact for
-orders <= 4; larger orders raise BudgetExceeded.
+Tables are generated orderly: a backtracking search fills cells in
+row-major order with incremental associativity pruning, and drops a
+partial table as soon as some relabeling provably makes it
+lexicographically smaller.  Every table that survives is the canonical
+form (the lexicographically minimal flattened table over all
+relabelings) of its class, so each class is generated exactly once, in
+ascending order.  Exact for orders <= 5; larger orders raise
+BudgetExceeded.
 
 Corpora are keyed by isomorphism, not anti-isomorphism, so a semigroup
 and its dual occur as distinct entries whenever they are not isomorphic.
@@ -18,6 +22,7 @@ is computed once per process.
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import permutations
 
 from . import semigroups as sg
 from .errors import BudgetExceeded
@@ -67,7 +72,8 @@ def _assoc_ok_after(table, n, i, j):
 
 
 def _labeled_tables(n):
-    """All associative n x n tables, by backtracking with pruning."""
+    """All associative n x n tables, by backtracking with pruning.  The
+    reference that tests compare `_canonical_tables` against."""
     cells = [(i, j) for i in range(n) for j in range(n)]
     table = [[None] * n for _ in range(n)]
     out = []
@@ -84,6 +90,65 @@ def _labeled_tables(n):
         table[i][j] = None
 
     rec(0)
+    return out
+
+
+def _canonical_tables(n):
+    """The flattened canonical forms of all associative n x n tables, in
+    ascending order (orderly generation, after McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).
+
+    A relabeling pi sends the table T to T^pi with
+    T^pi[pi a][pi b] = pi T[a][b].  Cells are filled in row-major order,
+    so after cell k the first k + 1 entries of T are fixed, and so is
+    each entry of T^pi whose source cell is among them.  Each live pi
+    keeps the position up to which T^pi equals T.  Where they first
+    differ with both entries fixed, T^pi < T prunes the branch (no
+    completion of T is canonical) and T^pi > T retires pi for the whole
+    subtree; an unfixed entry of T^pi leaves pi live."""
+    size = n * n
+    table = [[None] * n for _ in range(n)]
+    flat = [None] * size
+    identity = tuple(range(n))
+    live = []
+    for perm in permutations(range(n)):
+        if perm != identity:
+            src = [0] * size
+            for a in range(n):
+                for b in range(n):
+                    src[perm[a] * n + perm[b]] = a * n + b
+            live.append((perm, src, 0))
+    out = []
+
+    def rec(k, live):
+        if k == size:
+            out.append(tuple(flat))
+            return
+        i, j = divmod(k, n)
+        row = table[i]
+        for v in range(n):
+            row[j] = flat[k] = v
+            if not _assoc_ok_after(table, n, i, j):
+                continue
+            still = []
+            for perm, src, p in live:
+                while p <= k:
+                    w = flat[src[p]]
+                    if w is None:
+                        break
+                    w = perm[w]
+                    if w != flat[p]:
+                        break
+                    p += 1
+                if p > k or w is None:
+                    still.append((perm, src, p))
+                elif w < flat[p]:
+                    break
+            else:
+                rec(k + 1, still)
+        row[j] = flat[k] = None
+
+    rec(0, live)
     return out
 
 
@@ -127,15 +192,16 @@ def _flags(S):
 
 @cache
 def enumerate_semigroups(n):
-    """All semigroups of order n up to isomorphism, exact for n <= 4;
+    """All semigroups of order n up to isomorphism, one entry per class
+    with its canonical table, in ascending order of that table.  Exact
+    for n <= 5 (orderly generation, no canonicalization afterwards);
     larger orders raise BudgetExceeded."""
     if n <= 0:
         return ()
-    if n > 4:
-        raise BudgetExceeded("exact enumeration limited to order <= 4")
-    canon_set = {sg.canonical_form(table) for table in _labeled_tables(n)}
+    if n > 5:
+        raise BudgetExceeded("exact enumeration limited to order <= 5")
     entries = []
-    for i, flat in enumerate(sorted(canon_set)):
+    for i, flat in enumerate(_canonical_tables(n)):
         table = _unflatten(flat, n)
         S = sg.FiniteSemigroup(table, check=False)
         entries.append(CorpusEntry(f"S{n}_{i}", n, table, _flags(S)))

@@ -124,8 +124,21 @@ def test_malformed_semigroup_is_a_usage_error(capsys, tmp_path, semigroup):
 
 
 def test_budget_exit_code(capsys, tmp_path):
-    # enumerate order 5 exceeds the exact-enumeration budget
-    assert main(["enumerate", "--max-order", "5"]) == 3
+    # enumerate order 6 exceeds the exact-enumeration budget
+    assert main(["enumerate", "--max-order", "6"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "--suite", "malcev_equalities", "--max-order", "0"],
+    ["verify-paper", "--suite", "malcev_equalities", "--max-order", "-2"],
+    ["enumerate", "--max-order", "-3"],
+])
+def test_max_order_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-order" in captured.err
 
 
 def test_syn_budget_exit_code(monkeypatch):

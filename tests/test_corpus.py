@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from finsemi import corpus as cp
@@ -10,6 +13,7 @@ def test_counts_up_to_isomorphism():
     assert len(cp.enumerate_semigroups(2)) == 5
     assert len(cp.enumerate_semigroups(3)) == 24
     assert len(cp.enumerate_semigroups(4)) == 188
+    assert len(cp.enumerate_semigroups(5)) == 1915  # OEIS A027851
 
 
 def test_naive_cross_check():
@@ -20,13 +24,42 @@ def test_naive_cross_check():
 
 
 def test_entries_are_canonical_and_distinct():
-    entries = cp.enumerate_semigroups(3)
-    canons = set()
-    for e in entries:
-        flat = tuple(v for row in e.table for v in row)
-        assert sg.canonical_form(e.table) == flat  # canonical form is idempotent
-        canons.add(flat)
-    assert len(canons) == len(entries)
+    for n in (3, 5):
+        entries = cp.enumerate_semigroups(n)
+        canons = set()
+        for e in entries:
+            flat = tuple(v for row in e.table for v in row)
+            assert sg.canonical_form(e.table) == flat  # canonical form is idempotent
+            canons.add(flat)
+        assert len(canons) == len(entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orderly_generation_matches_labeled_search(n):
+    # reference: every labeled table, canonicalized and deduplicated
+    ref = sorted({sg.canonical_form(t) for t in cp._labeled_tables(n)})
+    assert cp._canonical_tables(n) == ref
+    lines = []
+    for i, flat in enumerate(ref):
+        table = cp._unflatten(flat, n)
+        flags = cp._flags(sg.FiniteSemigroup(table, check=False))
+        lines.append(cp.CorpusEntry(f"S{n}_{i}", n, table, flags).to_json())
+    assert [e.to_json() for e in cp.enumerate_semigroups(n)] == lines
+
+
+def _automorphisms(table):
+    n = len(table)
+    return sum(all(p[table[a][b]] == table[p[a]][p[b]]
+                   for a in range(n) for b in range(n))
+               for p in permutations(range(n)))
+
+
+@pytest.mark.parametrize("n,labeled", [(4, 3492), (5, 183732)])
+def test_classes_account_for_every_labeled_table(n, labeled):
+    # a class with automorphism group A has n!/|A| labeled tables (OEIS A023814)
+    total = sum(factorial(n) // _automorphisms(e.table)
+                for e in cp.enumerate_semigroups(n))
+    assert total == labeled
 
 
 def test_corpus_contains_duals_distinctly():
@@ -47,9 +80,9 @@ def test_flags():
     assert by_canon[c2].flags == {"monoid": True, "regular": True, "aperiodic": False}
 
 
-def test_order_five_modes():
+def test_order_six_exceeds_budget():
     with pytest.raises(BudgetExceeded):
-        cp.enumerate_semigroups(5)
+        cp.enumerate_semigroups(6)
 
 
 def test_jsonl_round_trip(tmp_path):
