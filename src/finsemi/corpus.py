@@ -27,6 +27,15 @@ from itertools import permutations
 from . import semigroups as sg
 from .errors import BudgetExceeded
 
+EXACT_MAX_ORDER = 5
+
+
+def _check_exact(max_order):
+    """Raise BudgetExceeded before any enumeration past the exact cap."""
+    if max_order > EXACT_MAX_ORDER:
+        raise BudgetExceeded(
+            f"exact enumeration limited to order <= {EXACT_MAX_ORDER}")
+
 
 def _assoc_ok_after(table, n, i, j):
     """Check every associativity triple decided by the newly set cell (i, j).
@@ -194,12 +203,11 @@ def _flags(S):
 def enumerate_semigroups(n):
     """All semigroups of order n up to isomorphism, one entry per class
     with its canonical table, in ascending order of that table.  Exact
-    for n <= 5 (orderly generation, no canonicalization afterwards);
-    larger orders raise BudgetExceeded."""
+    for n <= EXACT_MAX_ORDER (orderly generation, no canonicalization
+    afterwards); larger orders raise BudgetExceeded."""
+    _check_exact(n)
     if n <= 0:
         return ()
-    if n > 5:
-        raise BudgetExceeded("exact enumeration limited to order <= 5")
     entries = []
     for i, flat in enumerate(_canonical_tables(n)):
         table = _unflatten(flat, n)
@@ -229,6 +237,7 @@ def all_semigroups_upto(max_order):
     """FiniteSemigroup objects for every iso class of order <= max_order,
     shared by every caller in the process: the corpus of a smaller order
     is a prefix of this one, made of the same objects."""
+    _check_exact(max_order)
     if max_order < 1:
         return ()
     return all_semigroups_upto(max_order - 1) + tuple(
@@ -236,6 +245,7 @@ def all_semigroups_upto(max_order):
 
 
 def corpus_entries_upto(max_order):
+    _check_exact(max_order)
     out = []
     for n in range(1, max_order + 1):
         out.extend(enumerate_semigroups(n))

@@ -16,14 +16,11 @@ from .pseudovarieties import get_pseudovariety, member, word_problem_equal
 
 V_SET = ("LI", "K", "D", "N", "LG", "KvG", "DvG", "NvG")
 
-MU_KIND = {
-    "K": "RM", "KvG": "RLM", "LI": "GGM", "LG": "AGGM",
-    "D": "LM", "DvG": "LLM",
-}
-
 
 class RegularJClassView:
-    """One regular J-class with its R/L-class structure and J^0 carrier."""
+    """One regular J-class with its R/L-class structure and J^0 carrier;
+    r_reps/l_reps hold the least element of each R-/L-class in J, in
+    ascending order."""
 
     def __init__(self, S, j_id):
         g = S.green()
@@ -33,73 +30,80 @@ class RegularJClassView:
         self.j_id = j_id
         self.elements = tuple(sorted(g.j_classes[j_id]))
         self.element_set = frozenset(self.elements)
-        self.r_ids = tuple(sorted({g.r_class_of[x] for x in self.elements}))
-        self.l_ids = tuple(sorted({g.l_class_of[x] for x in self.elements}))
+        self.r_reps = tuple(min(c) for c in g.r_classes if c <= self.element_set)
+        self.l_reps = tuple(min(c) for c in g.l_classes if c <= self.element_set)
 
 
 def regular_j_views(S):
     return [RegularJClassView(S, j) for j in sorted(S.green().regular_j)]
 
 
-def _right_signature(S, view, s):
-    # x . s = xs when xs stays in J, else 0
+# Each *_signatures function yields, for every element s of S in turn, the
+# action of s on J^0 as a tuple: one entry per element (or per L- or
+# R-class) of J, None where the product leaves J and so is the zero.
+
+
+def _right_signatures(S, view):
     inside = view.element_set
-    return tuple(
-        S.table[x][s] if S.table[x][s] in inside else None for x in view.elements
-    )
+    return zip(*([v if v in inside else None for v in S.table[x]]
+                 for x in view.elements))
 
 
-def _left_signature(S, view, s):
+def _left_signatures(S, view):
     inside = view.element_set
-    return tuple(
-        S.table[s][x] if S.table[s][x] in inside else None for x in view.elements
-    )
+    return zip(*([row[x] if row[x] in inside else None for row in S.table]
+                 for x in view.elements))
 
 
-def _right_on_l_signature(S, view, s):
+def _right_on_l_signatures(S, view):
     # L is a right congruence, so the action descends to L-classes of J
-    g = view.semigroup.green()
+    l_of = S.green().l_class_of
     inside = view.element_set
-    sig = []
-    for lid in view.l_ids:
-        x = min(e for e in view.elements if g.l_class_of[e] == lid)
-        xs = S.table[x][s]
-        sig.append(g.l_class_of[xs] if xs in inside else None)
-    return tuple(sig)
+    return zip(*([l_of[v] if v in inside else None for v in S.table[x]]
+                 for x in view.l_reps))
 
 
-def _left_on_r_signature(S, view, s):
-    g = view.semigroup.green()
+def _left_on_r_signatures(S, view):
+    r_of = S.green().r_class_of
     inside = view.element_set
-    sig = []
-    for rid in view.r_ids:
-        x = min(e for e in view.elements if g.r_class_of[e] == rid)
-        sx = S.table[s][x]
-        sig.append(g.r_class_of[sx] if sx in inside else None)
-    return tuple(sig)
+    return zip(*([r_of[row[x]] if row[x] in inside else None for row in S.table]
+                 for x in view.r_reps))
 
 
-def _kernel_of(S, view, fn):
-    groups = {}
-    for s in range(S.order):
-        groups.setdefault(fn(S, view, s), set()).add(s)
-    return sg.Congruence(S, groups.values(), check=False)
+def _congruence(S, labels):
+    classes = [[] for _ in range(max(labels) + 1)]
+    for s, c in enumerate(labels):
+        classes[c].append(s)
+    return sg.Congruence(S, classes, check=False)
 
 
-def _sequential_kernel(S, view, first_fn, second_fn):
-    """Kernel of S -> (first-action image) -> (second action of the image
+def _sequential_labels(S, view, first, second):
+    """Kernel of S -> T1 (the first-action image) -> (second action of T1
     on the image of J).  This staged composition is what makes the
     generalized group mapping quotients collapse correctly; the direct
-    meet of the two action kernels is strictly finer in general."""
-    c1 = _kernel_of(S, view, first_fn)
-    T1 = sg.quotient(S, c1)
-    jbar = T1.green().j_class_of[c1.class_of[view.elements[0]]]
-    view1 = RegularJClassView(T1, jbar)
-    groups = {}
-    for s in range(S.order):
-        sig = second_fn(T1, view1, c1.class_of[s])
-        groups.setdefault(sig, set()).add(s)
-    return sg.Congruence(S, groups.values(), check=False)
+    meet of the two action kernels is strictly finer in general.  The
+    second action is evaluated once per element of T1."""
+    lab = sg.kernel_labels(first(S, view))
+    reps = [lab.index(c) for c in range(max(lab) + 1)]
+    T1 = sg.FiniteSemigroup([[lab[S.table[x][y]] for y in reps] for x in reps],
+                            check=False)
+    view1 = RegularJClassView(T1, T1.green().j_class_of[lab[view.elements[0]]])
+    lab2 = sg.kernel_labels(second(T1, view1))
+    return tuple([lab2[c] for c in lab])
+
+
+_ACTIONS = {"K": _right_signatures, "D": _left_signatures,
+            "KvG": _right_on_l_signatures, "DvG": _left_on_r_signatures}
+_STAGES = {"LI": (_right_signatures, _left_signatures),
+           "LG": (_right_on_l_signatures, _left_on_r_signatures)}
+
+
+def _mu_zj_labels(S, view, Z):
+    if Z in _ACTIONS:
+        return sg.kernel_labels(_ACTIONS[Z](S, view))
+    if Z in _STAGES:
+        return _sequential_labels(S, view, *_STAGES[Z])
+    raise UnsupportedZ(f"mu is not defined for Z = {Z} (use intersections)")
 
 
 def mu_zj(S, view, Z):
@@ -109,30 +113,13 @@ def mu_zj(S, view, Z):
     dual constructions for D and D v G."""
     if isinstance(view, int):
         view = RegularJClassView(S, view)
-    if Z == "K":
-        return _kernel_of(S, view, _right_signature)
-    if Z == "D":
-        return _kernel_of(S, view, _left_signature)
-    if Z == "KvG":
-        return _kernel_of(S, view, _right_on_l_signature)
-    if Z == "DvG":
-        return _kernel_of(S, view, _left_on_r_signature)
-    if Z == "LI":
-        return _sequential_kernel(S, view, _right_signature, _left_signature)
-    if Z == "LG":
-        return _sequential_kernel(S, view, _right_on_l_signature,
-                                  _left_on_r_signature)
-    raise UnsupportedZ(f"mu is not defined for Z = {Z} (use intersections)")
+    return _congruence(S, _mu_zj_labels(S, view, Z))
 
 
 def mu_z(S, Z):
     """Meet of the mu_{Z,J} kernels over all regular J-classes."""
-    kerns = [mu_zj(S, v, Z) for v in regular_j_views(S)]
-    groups = {}
-    for s in range(S.order):
-        sig = tuple(k.class_of[s] for k in kerns)
-        groups.setdefault(sig, set()).add(s)
-    return sg.Congruence(S, groups.values(), check=False)
+    kerns = [_mu_zj_labels(S, v, Z) for v in regular_j_views(S)]
+    return _congruence(S, sg.kernel_labels(zip(*kerns)))
 
 
 def mu_quotient(S, Z):

@@ -184,9 +184,13 @@ class GreenData:
     """Green's relation data for one semigroup.
 
     Partitions are tuples of frozensets; *_class_of maps an element index
-    to the id of its class.  j_order holds the pairs (i, j) with J_i <= J_j
-    in the J-class order; regular_j is the set of J-class ids containing
-    an idempotent.
+    to the id of its class, and every class is numbered in order of its
+    least element.  j_order holds the pairs (i, j) with J_i <= J_j in the
+    J-class order; regular_j is the set of J-class ids containing an
+    idempotent.  J-classes are computed as D-classes, D = R o L, which
+    equals J in a finite semigroup (Froidure & Pin, "Algorithms for
+    computing finite semigroups", 1997; East, Egri-Nagy, Mitchell &
+    Peresse, "Computing finite semigroups", JSC 2019).
     """
 
     def __init__(self, r_classes, l_classes, j_classes, h_classes, j_order, regular_j,
@@ -203,46 +207,42 @@ class GreenData:
         self.h_class_of = h_class_of
 
 
+def kernel_labels(keys):
+    """The kernel of x -> keys[x] as a label vector: equal keys share an
+    id, and ids run in order of first occurrence, which numbers every
+    class by its least element (as Congruence does)."""
+    ids = {}
+    return tuple([ids.setdefault(k, len(ids)) for k in keys])
+
+
 def _partition_by(keys):
-    groups = {}
-    for x, k in enumerate(keys):
-        groups.setdefault(k, []).append(x)
-    classes = tuple(frozenset(g) for g in groups.values())
-    class_of = [0] * len(keys)
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = ci
-    return classes, tuple(class_of)
+    class_of = kernel_labels(keys)
+    classes = {}
+    for x, c in enumerate(class_of):
+        classes.setdefault(c, []).append(x)
+    return tuple(map(frozenset, classes.values())), class_of
 
 
 def _compute_green(S):
-    n = S.order
+    """R and L from the principal one-sided ideals xS^1 and S^1x; J as
+    D = R o L, whose D-class of x is named by the least L-class id met by
+    the R-class of x (an R-class meets every L-class of its D-class and
+    no other); and j_order from one ideal S^1 y S^1 per J-class, the
+    union of the right ideals zS^1 over z in S^1 y, y the least element
+    of the class.  O(n^2) apart from those unions."""
     t = S.table
-    rng = range(n)
-
-    r_ideal = [frozenset({x} | {t[x][s] for s in rng}) for x in rng]
-    l_ideal = [frozenset({x} | {t[s][x] for s in rng}) for x in rng]
-    j_ideal = []
-    for x in rng:
-        two = {x}
-        two.update(t[x][s] for s in rng)
-        two.update(t[s][x] for s in rng)
-        for s in rng:
-            xs = t[s][x]
-            two.update(t[xs][u] for u in rng)
-        j_ideal.append(frozenset(two))
-
+    r_ideal = [frozenset((x, *row)) for x, row in enumerate(t)]
+    l_ideal = [frozenset((x, *col)) for x, col in enumerate(zip(*t))]
     r_classes, r_of = _partition_by(r_ideal)
     l_classes, l_of = _partition_by(l_ideal)
-    j_classes, j_of = _partition_by(j_ideal)
+    lead = [min(l_of[y] for y in c) for c in r_classes]
+    j_classes, j_of = _partition_by([lead[r] for r in r_of])
     h_classes, h_of = _partition_by(list(zip(r_of, l_of)))
 
     j_order = set()
-    for ji, ci in enumerate(j_classes):
-        xi = next(iter(ci))
-        for jj, cj in enumerate(j_classes):
-            if xi in j_ideal[next(iter(cj))]:
-                j_order.add((ji, jj))
+    for jj, cls in enumerate(j_classes):
+        below = frozenset().union(*(r_ideal[z] for z in l_ideal[min(cls)]))
+        j_order.update((j_of[z], jj) for z in below)
 
     regular_j = frozenset(j_of[e] for e in S.idempotents())
     return GreenData(r_classes, l_classes, j_classes, h_classes,

@@ -85,6 +85,14 @@ def test_order_six_exceeds_budget():
         cp.enumerate_semigroups(6)
 
 
+def test_order_past_the_cap_raises_before_any_enumeration():
+    cp.enumerate_semigroups.cache_clear()
+    for build in (cp.corpus_entries_upto, cp.all_semigroups_upto):
+        with pytest.raises(BudgetExceeded):
+            build(cp.EXACT_MAX_ORDER + 1)
+    assert cp.enumerate_semigroups.cache_info().misses == 0
+
+
 def test_jsonl_round_trip(tmp_path):
     entries = cp.enumerate_semigroups(2)
     path = tmp_path / "c.jsonl"

@@ -103,7 +103,7 @@ def test_locality_commutation_examples():
 
 def test_faithfulness_of_mu_zj_quotients():
     # the quotient acts faithfully in its MuKind sense on the image class
-    for S in all_semigroups_upto(3):
+    for S in all_semigroups_upto(4):
         for v in mv.regular_j_views(S):
             for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
                 c = mv.mu_zj(S, v, Z)
@@ -116,7 +116,7 @@ def test_faithfulness_of_mu_zj_quotients():
 def test_local_monoids_of_mu_zj_images_are_z_semigroups():
     # every local monoid of the mu_{Z,J} image is itself a Z-semigroup
     # (faithful for its own distinguished class, the trace of the image class)
-    for S in all_semigroups_upto(3):
+    for S in all_semigroups_upto(4):
         for v in mv.regular_j_views(S):
             for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
                 c = mv.mu_zj(S, v, Z)
@@ -299,3 +299,99 @@ def test_cached_route_matches_the_uncached_route():
         cold_backward = [_cached(U, *c) for c in reversed(calls)][::-1]
         oracle = [_oracle(S, *c) for c in calls]
         assert forward == backward == cold_backward == oracle, S.table
+
+
+# ---------------------------------------------------------------------------
+# The label-vector kernels against the reference construction below, which
+# computes every signature per element of S and meets Congruence objects.
+
+
+def _ref_right_signature(S, view, s):
+    inside = view.element_set
+    return tuple(
+        S.table[x][s] if S.table[x][s] in inside else None for x in view.elements
+    )
+
+
+def _ref_left_signature(S, view, s):
+    inside = view.element_set
+    return tuple(
+        S.table[s][x] if S.table[s][x] in inside else None for x in view.elements
+    )
+
+
+def _ref_right_on_l_signature(S, view, s):
+    g = view.semigroup.green()
+    inside = view.element_set
+    sig = []
+    for lid in sorted({g.l_class_of[e] for e in view.elements}):
+        x = min(e for e in view.elements if g.l_class_of[e] == lid)
+        xs = S.table[x][s]
+        sig.append(g.l_class_of[xs] if xs in inside else None)
+    return tuple(sig)
+
+
+def _ref_left_on_r_signature(S, view, s):
+    g = view.semigroup.green()
+    inside = view.element_set
+    sig = []
+    for rid in sorted({g.r_class_of[e] for e in view.elements}):
+        x = min(e for e in view.elements if g.r_class_of[e] == rid)
+        sx = S.table[s][x]
+        sig.append(g.r_class_of[sx] if sx in inside else None)
+    return tuple(sig)
+
+
+def _ref_kernel_of(S, view, fn):
+    groups = {}
+    for s in range(S.order):
+        groups.setdefault(fn(S, view, s), set()).add(s)
+    return sg.Congruence(S, groups.values(), check=False)
+
+
+def _ref_sequential_kernel(S, view, first_fn, second_fn):
+    c1 = _ref_kernel_of(S, view, first_fn)
+    T1 = sg.quotient(S, c1)
+    jbar = T1.green().j_class_of[c1.class_of[view.elements[0]]]
+    view1 = mv.RegularJClassView(T1, jbar)
+    groups = {}
+    for s in range(S.order):
+        sig = second_fn(T1, view1, c1.class_of[s])
+        groups.setdefault(sig, set()).add(s)
+    return sg.Congruence(S, groups.values(), check=False)
+
+
+def _ref_mu_zj(S, view, Z):
+    if Z in ("LI", "LG"):
+        first, second = {
+            "LI": (_ref_right_signature, _ref_left_signature),
+            "LG": (_ref_right_on_l_signature, _ref_left_on_r_signature),
+        }[Z]
+        return _ref_sequential_kernel(S, view, first, second)
+    return _ref_kernel_of(S, view, {
+        "K": _ref_right_signature, "D": _ref_left_signature,
+        "KvG": _ref_right_on_l_signature, "DvG": _ref_left_on_r_signature,
+    }[Z])
+
+
+def _ref_mu_z(S, Z):
+    kerns = [_ref_mu_zj(S, v, Z) for v in mv.regular_j_views(S)]
+    groups = {}
+    for s in range(S.order):
+        sig = tuple(k.class_of[s] for k in kerns)
+        groups.setdefault(sig, set()).add(s)
+    return sg.Congruence(S, groups.values(), check=False)
+
+
+def test_mu_matches_the_congruence_reference():
+    # equal partitions and equal class numbering, for mu_z and every mu_zj
+    from test_semigroups import product_tables
+    for S in [*all_semigroups_upto(4), *product_tables(2, 60)]:
+        for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
+            got, want = mv.mu_z(S, Z), _ref_mu_z(S, Z)
+            assert (got.classes, got.class_of) == (want.classes, want.class_of), \
+                (S.table, Z)
+            for v in mv.regular_j_views(S):
+                got, want = mv.mu_zj(S, v, Z), _ref_mu_zj(S, v, Z)
+                assert (got.classes, got.class_of) == \
+                    (want.classes, want.class_of), (S.table, Z, v.j_id)

@@ -397,19 +397,86 @@ def catalog_semigroups():
     return out
 
 
+def _green_by_two_sided_ideals(S):
+    """The reference Green computation: R, L and J by their principal
+    ideals xS^1, S^1x and S^1xS^1, each built for every element."""
+    n = S.order
+    t = S.table
+    rng = range(n)
+
+    r_ideal = [frozenset({x} | {t[x][s] for s in rng}) for x in rng]
+    l_ideal = [frozenset({x} | {t[s][x] for s in rng}) for x in rng]
+    j_ideal = []
+    for x in rng:
+        two = {x}
+        two.update(t[x][s] for s in rng)
+        two.update(t[s][x] for s in rng)
+        for s in rng:
+            xs = t[s][x]
+            two.update(t[xs][u] for u in rng)
+        j_ideal.append(frozenset(two))
+
+    r_classes, r_of = sg._partition_by(r_ideal)
+    l_classes, l_of = sg._partition_by(l_ideal)
+    j_classes, j_of = sg._partition_by(j_ideal)
+    h_classes, h_of = sg._partition_by(list(zip(r_of, l_of)))
+
+    j_order = set()
+    for ji, ci in enumerate(j_classes):
+        xi = next(iter(ci))
+        for jj, cj in enumerate(j_classes):
+            if xi in j_ideal[next(iter(cj))]:
+                j_order.add((ji, jj))
+
+    regular_j = frozenset(j_of[e] for e in S.idempotents())
+    return sg.GreenData(r_classes, l_classes, j_classes, h_classes,
+                        frozenset(j_order), regular_j, r_of, l_of, j_of, h_of)
+
+
+def product_tables(seed, count, orders=range(5, 17)):
+    """A seeded sample of direct products of order-<=4 corpus members,
+    each of an order in `orders`, as fresh instances."""
+    import random
+    from finsemi.corpus import all_semigroups_upto
+    rng = random.Random(seed)
+    corpus = all_semigroups_upto(4)
+    out = []
+    while len(out) < count:
+        S, T = rng.choice(corpus), rng.choice(corpus)
+        if S.order * T.order in orders:
+            P = sg.direct_product(S, T)
+            out.append(sg.FiniteSemigroup(P.table, check=False))
+    return out
+
+
+def green_test_semigroups():
+    from finsemi.corpus import all_semigroups_upto
+    return [*all_semigroups_upto(4), *catalog_semigroups(), *product_tables(0, 150)]
+
+
 def test_green_invariants():
     # R and L refine J, and a regular J-class has an idempotent in every
-    # one of its R-classes
+    # one of its R-classes; checked on the library's Green computation and
+    # on the reference one
+    for S in green_test_semigroups():
+        for g in (S.green(), _green_by_two_sided_ideals(S)):
+            for x in range(S.order):
+                for y in range(S.order):
+                    if (g.r_class_of[x] == g.r_class_of[y]
+                            or g.l_class_of[x] == g.l_class_of[y]):
+                        assert g.j_class_of[x] == g.j_class_of[y], S.table
+            for rcls in g.r_classes:
+                if g.j_class_of[min(rcls)] in g.regular_j:
+                    assert rcls & S.idempotents(), S.table
+
+
+def test_green_matches_the_two_sided_ideal_reference():
+    # every field equal, class numbering and j_order included
     from finsemi.corpus import all_semigroups_upto
-    for S in [*all_semigroups_upto(4), *catalog_semigroups()]:
-        g = S.green()
-        for x in range(S.order):
-            for y in range(S.order):
-                if g.r_class_of[x] == g.r_class_of[y] or g.l_class_of[x] == g.l_class_of[y]:
-                    assert g.j_class_of[x] == g.j_class_of[y], S.table
-        for rcls in g.r_classes:
-            if g.j_class_of[min(rcls)] in g.regular_j:
-                assert rcls & S.idempotents(), S.table
+    for S in [*all_semigroups_upto(5), *catalog_semigroups(),
+              *product_tables(1, 1500)]:
+        assert vars(sg._compute_green(S)) == vars(_green_by_two_sided_ideals(S)), \
+            S.table
 
 
 @pytest.mark.parametrize("name, v", [("free_d", "D"), ("free_k", "K"), ("free_n", "N")])
