@@ -108,20 +108,14 @@ def cmd_phi(args):
 def cmd_ilbf(args):
     u = _load_word_or_term(args.input)
     if args.k is not None:
-        t = u if isinstance(u, tm.Term) else tm.word_term(u)
-        img = dk.phi_k_term(t, args.k)
-        if img is None:
+        u = dk.phi_k_term(u if isinstance(u, tm.Term) else tm.word_term(u), args.k)
+        if u is None:
             print(json.dumps({"error": "input not longer than k"}))
             return 2
-        res = fz.ilbf_term(img, cap=args.cap)
-        out = {"outcome": res.outcome,
-               "factors": [[tm.term_to_text(x) if x else "",
-                            tm.term_to_text(tm.Letter(a))] for x, a in res.factors],
-               "remainder": tm.term_to_text(res.remainder) if res.remainder else ""}
-    elif isinstance(u, tm.Term):
+    if isinstance(u, tm.Term):
         res = fz.ilbf_term(u, cap=args.cap)
         out = {"outcome": res.outcome,
-               "factors": [[tm.term_to_text(x) if x else "", str(a)]
+               "factors": [[tm.term_to_text(x) if x else "", tm._sym_text(a)]
                            for x, a in res.factors],
                "remainder": tm.term_to_text(res.remainder) if res.remainder else ""}
     else:

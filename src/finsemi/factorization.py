@@ -262,7 +262,7 @@ def ilbf2(u, cap=60):
 # Regularity over DS * D_k and the R word problem
 
 
-def ds_dk_regular(t, k, cap=60):
+def ds_dk_regular(t, k):
     """Regularity over DS * D_k: Proved iff the iterated left basic
     factorization of the window image is infinite, Refuted iff finite."""
     if not isinstance(t, tm.Term):
@@ -272,7 +272,7 @@ def ds_dk_regular(t, k, cap=60):
     img = dk.phi_k_term(t, k)
     if img is None:
         raise ValueError("ds_dk_regular requires a term longer than k")
-    res = ilbf_term(img, cap=cap)
+    res = ilbf_term(img)
     if res.outcome == "infinite":
         return PROVED
     if res.outcome == "finite":
@@ -298,7 +298,10 @@ def _refuted_by_r_corpus(u, v):
     return None
 
 
-def r_equal(u, v, cap=40):
+R_EQUAL_DEPTH_CAP = 40  # factorization depth past which r_equal is unknown
+
+
+def r_equal(u, v):
     """Equality over R by coinductive comparison of left basic
     factorizations, with refutation via the R-corpus."""
     memo = set()
@@ -313,7 +316,7 @@ def r_equal(u, v, cap=40):
         sx, sy = term_signature(x), term_signature(y)
         if sx == sy:
             return PROVED
-        if depth > cap:
+        if depth > R_EQUAL_DEPTH_CAP:
             return UNKNOWN
         if (sx, sy) in memo:
             return PROVED  # coinductive closure

@@ -3,10 +3,12 @@
 For a regular J-class J of S, the action kernels on J^0 (right action,
 right action on L-classes, two-sided, and duals) realize the canonical
 quotients onto right mapping / right letter mapping / generalized group
-mapping semigroups and their variants.  Intersecting over all regular
-J-classes gives the mu_Z congruence whose quotient decides membership
-in Z m V for Z in the eight-element family handled here; N and N v G
-route through intersections of the K/D (resp. K v G / D v G) sides.
+mapping semigroups and their variants.  Each kernel is a label vector
+over S, read from J as a class of S's Green data; the mu_Z congruence
+is the kernel of the tuple of labels over all regular J-classes, and
+its quotient decides membership in Z m V for Z in the eight-element
+family handled here; N and N v G route through intersections of the
+K/D (resp. K v G / D v G) sides.
 """
 
 from . import semigroups as sg
@@ -17,78 +19,51 @@ from .pseudovarieties import get_pseudovariety, member, word_problem_equal
 V_SET = ("LI", "K", "D", "N", "LG", "KvG", "DvG", "NvG")
 
 
-class RegularJClassView:
-    """One regular J-class with its R/L-class structure and J^0 carrier;
-    r_reps/l_reps hold the least element of each R-/L-class in J, in
-    ascending order."""
-
-    def __init__(self, S, j_id):
-        g = S.green()
-        if j_id not in g.regular_j:
-            raise NotRegular(f"J-class {j_id} has no idempotent")
-        self.semigroup = S
-        self.j_id = j_id
-        self.elements = tuple(sorted(g.j_classes[j_id]))
-        self.element_set = frozenset(self.elements)
-        self.r_reps = tuple(min(c) for c in g.r_classes if c <= self.element_set)
-        self.l_reps = tuple(min(c) for c in g.l_classes if c <= self.element_set)
+# Each *_signatures function takes a J-class J of S, a frozenset from its
+# Green data, and yields for every element s of S in turn the action of s
+# on J^0 as a tuple: one entry per element (or per L- or R-class) of J,
+# None where the product leaves J and so is the zero.  Only the kernel of
+# s -> signature is used, so the order of the entries does not matter.
 
 
-def regular_j_views(S):
-    return [RegularJClassView(S, j) for j in sorted(S.green().regular_j)]
+def _right_signatures(S, J):
+    return zip(*([v if v in J else None for v in S.table[x]] for x in J))
 
 
-# Each *_signatures function yields, for every element s of S in turn, the
-# action of s on J^0 as a tuple: one entry per element (or per L- or
-# R-class) of J, None where the product leaves J and so is the zero.
+def _left_signatures(S, J):
+    return zip(*([row[x] if row[x] in J else None for row in S.table] for x in J))
 
 
-def _right_signatures(S, view):
-    inside = view.element_set
-    return zip(*([v if v in inside else None for v in S.table[x]]
-                 for x in view.elements))
-
-
-def _left_signatures(S, view):
-    inside = view.element_set
-    return zip(*([row[x] if row[x] in inside else None for row in S.table]
-                 for x in view.elements))
-
-
-def _right_on_l_signatures(S, view):
+def _right_on_l_signatures(S, J):
     # L is a right congruence, so the action descends to L-classes of J
+    # and any element of a class stands for it
     l_of = S.green().l_class_of
-    inside = view.element_set
-    return zip(*([l_of[v] if v in inside else None for v in S.table[x]]
-                 for x in view.l_reps))
+    reps = {l_of[x]: x for x in J}.values()
+    return zip(*([l_of[v] if v in J else None for v in S.table[x]] for x in reps))
 
 
-def _left_on_r_signatures(S, view):
+def _left_on_r_signatures(S, J):
+    # dually, R is a left congruence
     r_of = S.green().r_class_of
-    inside = view.element_set
-    return zip(*([r_of[row[x]] if row[x] in inside else None for row in S.table]
-                 for x in view.r_reps))
+    reps = {r_of[x]: x for x in J}.values()
+    return zip(*([r_of[row[x]] if row[x] in J else None for row in S.table]
+                 for x in reps))
 
 
-def _congruence(S, labels):
-    classes = [[] for _ in range(max(labels) + 1)]
-    for s, c in enumerate(labels):
-        classes[c].append(s)
-    return sg.Congruence(S, classes, check=False)
-
-
-def _sequential_labels(S, view, first, second):
+def _sequential_labels(S, J, first, second):
     """Kernel of S -> T1 (the first-action image) -> (second action of T1
     on the image of J).  This staged composition is what makes the
     generalized group mapping quotients collapse correctly; the direct
     meet of the two action kernels is strictly finer in general.  The
-    second action is evaluated once per element of T1."""
-    lab = sg.kernel_labels(first(S, view))
+    image of J lies in one J-class of T1, found from any element of J.
+    The second action is evaluated once per element of T1."""
+    lab = sg.kernel_labels(first(S, J))
     reps = [lab.index(c) for c in range(max(lab) + 1)]
     T1 = sg.FiniteSemigroup([[lab[S.table[x][y]] for y in reps] for x in reps],
                             check=False)
-    view1 = RegularJClassView(T1, T1.green().j_class_of[lab[view.elements[0]]])
-    lab2 = sg.kernel_labels(second(T1, view1))
+    g1 = T1.green()
+    J1 = g1.j_classes[g1.j_class_of[lab[next(iter(J))]]]
+    lab2 = sg.kernel_labels(second(T1, J1))
     return tuple([lab2[c] for c in lab])
 
 
@@ -98,28 +73,31 @@ _STAGES = {"LI": (_right_signatures, _left_signatures),
            "LG": (_right_on_l_signatures, _left_on_r_signatures)}
 
 
-def _mu_zj_labels(S, view, Z):
+def _mu_zj_labels(S, J, Z):
     if Z in _ACTIONS:
-        return sg.kernel_labels(_ACTIONS[Z](S, view))
+        return sg.kernel_labels(_ACTIONS[Z](S, J))
     if Z in _STAGES:
-        return _sequential_labels(S, view, *_STAGES[Z])
+        return _sequential_labels(S, J, *_STAGES[Z])
     raise UnsupportedZ(f"mu is not defined for Z = {Z} (use intersections)")
 
 
-def mu_zj(S, view, Z):
-    """The mu_{Z,J} congruence: kernel of the canonical map of S onto the
-    right mapping (K), right letter mapping (K v G), generalized group
-    mapping (LI), or AGGM (LG) semigroup of the regular J-class, or the
-    dual constructions for D and D v G."""
-    if isinstance(view, int):
-        view = RegularJClassView(S, view)
-    return _congruence(S, _mu_zj_labels(S, view, Z))
+def mu_zj(S, j, Z):
+    """The mu_{Z,J} congruence for the regular J-class with id j: kernel of
+    the canonical map of S onto the right mapping (K), right letter
+    mapping (K v G), generalized group mapping (LI), or AGGM (LG)
+    semigroup of the J-class, or the dual constructions for D and D v G.
+    Raises NotRegular when the J-class has no idempotent."""
+    g = S.green()
+    if j not in g.regular_j:
+        raise NotRegular(f"J-class {j} has no idempotent")
+    return sg.Congruence(S, _mu_zj_labels(S, g.j_classes[j], Z), check=False)
 
 
 def mu_z(S, Z):
     """Meet of the mu_{Z,J} kernels over all regular J-classes."""
-    kerns = [_mu_zj_labels(S, v, Z) for v in regular_j_views(S)]
-    return _congruence(S, sg.kernel_labels(zip(*kerns)))
+    g = S.green()
+    kernels = [_mu_zj_labels(S, g.j_classes[j], Z) for j in g.regular_j]
+    return sg.Congruence(S, zip(*kernels), check=False)
 
 
 def mu_quotient(S, Z):

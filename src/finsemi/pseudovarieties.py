@@ -108,10 +108,6 @@ def _factors(t):
     return list(t.parts) if isinstance(t, tm.Concat) else [t]
 
 
-def _term_of(factors):
-    return tm.concat(*factors)
-
-
 def _emit_run(base, exp):
     """Render one combined run as a factor list."""
     base_fs = _factors(base)
@@ -258,7 +254,7 @@ def canon(t):
         parts = []
         for p in t.parts:
             parts.extend(_factors(canon(p)))
-        return _term_of(_combine(parts))
+        return tm.concat(*_combine(parts))
     return _canon_power(canon(t.base), t.exp)
 
 
@@ -276,7 +272,7 @@ def _canon_power(base, exp):
     if len(fs) > 1:
         root, j = tm._primitive_root(tuple(fs))
         if j > 1:
-            root_term = _term_of(list(root))
+            root_term = tm.concat(*root)
             if isinstance(exp, int):
                 return canon(tm.power(root_term, exp * j))
             if exp.kind == "omega":
@@ -285,8 +281,8 @@ def _canon_power(base, exp):
     if _certified_idempotent(base):
         return base
     if isinstance(exp, int):
-        return _term_of(_combine(_emit_run(base, exp)))
-    return _term_of(_combine([tm.Power(base, exp)]))
+        return tm.concat(*_combine(_emit_run(base, exp)))
+    return tm.concat(*_combine([tm.Power(base, exp)]))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +325,16 @@ def _refutation_models(max_order):
     yield from all_semigroups_upto(max_order)
 
 
-def refute_over_models(lhs, rhs, max_order=4, assignment_cap=5000):
+ASSIGNMENT_CAP = 5000  # largest |S|^letters that refute_over_models tries
+PROOF_SIZE_CAP = 4000  # largest joint term size proves_equal_over_S takes
+
+
+def refute_over_models(lhs, rhs, max_order=4):
     """Search small semigroups for an assignment separating lhs and rhs."""
     letters = tuple(sorted(tm.content(lhs) | tm.content(rhs), key=str))
     pi = tm.PseudoIdentity(lhs, rhs, letters)
     for S in _refutation_models(max_order):
-        if S.order ** len(letters) > assignment_cap:
+        if S.order ** len(letters) > ASSIGNMENT_CAP:
             continue
         ok, asg = tm.satisfies(S, pi, witness=True)
         if not ok:
@@ -342,9 +342,9 @@ def refute_over_models(lhs, rhs, max_order=4, assignment_cap=5000):
     return None
 
 
-def proves_equal_over_S(u, v, max_order=4, size_cap=4000):
+def proves_equal_over_S(u, v, max_order=4):
     """Sound three-valued equality of omega-terms over all finite semigroups."""
-    if _term_size(u) + _term_size(v) > size_cap:
+    if _term_size(u) + _term_size(v) > PROOF_SIZE_CAP:
         return UNKNOWN
     if canon(u) == canon(v):
         return PROVED
@@ -377,10 +377,6 @@ class PseudovarietyDef:
         return self.name
 
 
-def _pi(text):
-    return tm.parse_identity(text)
-
-
 def _chi_identity(pi):
     return tm.pseudo_identity(tm.reverse_chi(pi.lhs), tm.reverse_chi(pi.rhs),
                               pi.alphabet)
@@ -399,11 +395,12 @@ def _build_catalog():
     def add(defn):
         cat[defn.name] = defn
 
-    add(PseudovarietyDef("I", ( _pi("x1 = x2"), ), monoidal=True,
+    add(PseudovarietyDef("I", (tm.parse_identity("x1 = x2"),), monoidal=True,
                          has_nontrivial_monoid=False))
-    add(PseudovarietyDef("Sl", (_pi("x1 x1 = x1"), _pi("x1 x2 = x2 x1")),
+    add(PseudovarietyDef("Sl", (tm.parse_identity("x1 x1 = x1"),
+                                tm.parse_identity("x1 x2 = x2 x1")),
                          word_problem="SL_CONTENT", monoidal=True, dual_of="Sl"))
-    k_basis = (_pi("x1^w x2 = x1^w"),)
+    k_basis = (tm.parse_identity("x1^w x2 = x1^w"),)
     add(PseudovarietyDef("K", k_basis, word_problem="K_PREFIX", dual_of="D",
                          has_nontrivial_monoid=False))
     d_basis = tuple(_chi_identity(p) for p in k_basis)
@@ -411,38 +408,42 @@ def _build_catalog():
                          has_nontrivial_monoid=False))
     add(PseudovarietyDef("N", k_basis + d_basis, word_problem="N_FINITE",
                          dual_of="N", has_nontrivial_monoid=False))
-    kg_basis = (_pi("x1^w x2^w = x1^w"),)
+    kg_basis = (tm.parse_identity("x1^w x2^w = x1^w"),)
     dg_basis = tuple(_chi_identity(p) for p in kg_basis)
     add(PseudovarietyDef("KvG", kg_basis, dual_of="DvG"))
     add(PseudovarietyDef("DvG", dg_basis, dual_of="KvG"))
     add(PseudovarietyDef("NvG", kg_basis + dg_basis, dual_of="NvG"))
-    add(PseudovarietyDef("LI", (_pi("x1^w x2 x1^w = x1^w"),), dual_of="LI",
-                         has_nontrivial_monoid=False))
-    add(PseudovarietyDef("LG", (_pi("(x1^w x2 x1^w)^w = x1^w"),), dual_of="LG"))
+    add(PseudovarietyDef("LI", (tm.parse_identity("x1^w x2 x1^w = x1^w"),),
+                         dual_of="LI", has_nontrivial_monoid=False))
+    add(PseudovarietyDef("LG", (tm.parse_identity("(x1^w x2 x1^w)^w = x1^w"),),
+                         dual_of="LG"))
     for p in (2, 3):
         add(PseudovarietyDef(f"LG_{p}",
-                             (_pi(f"(x1^w x2 x1^w)^({p}^w) = x1^w"),),
+                             (tm.parse_identity(f"(x1^w x2 x1^w)^({p}^w) = x1^w"),),
                              dual_of=f"LG_{p}"))
-    add(PseudovarietyDef("A", (_pi("x2^w = x2^(w+1)"),), monoidal=True,
-                         dual_of="A"))
-    g_basis = (_pi("x1^w x2 = x2"), _pi("x2 x1^w = x2"))
+    add(PseudovarietyDef("A", (tm.parse_identity("x2^w = x2^(w+1)"),),
+                         monoidal=True, dual_of="A"))
+    g_basis = (tm.parse_identity("x1^w x2 = x2"),
+               tm.parse_identity("x2 x1^w = x2"))
     add(PseudovarietyDef("G", g_basis, word_problem="G_FREEGROUP",
                          monoidal=True, dual_of="G"))
     for p in (2, 3):
-        add(PseudovarietyDef(f"G_{p}", g_basis + (_pi(f"x1^({p}^w) = x1^w"),),
+        add(PseudovarietyDef(f"G_{p}",
+                             g_basis + (tm.parse_identity(f"x1^({p}^w) = x1^w"),),
                              monoidal=True, dual_of=f"G_{p}"))
-    r_basis = (_pi("(x1 x2)^w x1 = (x1 x2)^w"),)
+    r_basis = (tm.parse_identity("(x1 x2)^w x1 = (x1 x2)^w"),)
     l_basis = tuple(_chi_identity(p) for p in r_basis)
     add(PseudovarietyDef("R", r_basis, word_problem="R_LBF", monoidal=True,
                          dual_of="L"))
     add(PseudovarietyDef("L", l_basis, monoidal=True, dual_of="R"))
     add(PseudovarietyDef("J", r_basis + l_basis, monoidal=True, dual_of="J"))
-    ds_basis = (_pi("((x1 x2)^w (x2 x1)^w (x1 x2)^w)^w = (x1 x2)^w"),)
+    ds_basis = (
+        tm.parse_identity("((x1 x2)^w (x2 x1)^w (x1 x2)^w)^w = (x1 x2)^w"),)
     add(PseudovarietyDef("DS", ds_basis, monoidal=True, dual_of="DS"))
-    add(PseudovarietyDef("DA", ds_basis + (_pi("x2^w = x2^(w+1)"),),
+    add(PseudovarietyDef("DA", ds_basis + (tm.parse_identity("x2^w = x2^(w+1)"),),
                          monoidal=True, dual_of="DA"))
-    add(PseudovarietyDef("DG", (_pi("(x1 x2)^w = (x2 x1)^w"),), monoidal=True,
-                         dual_of="DG"))
+    add(PseudovarietyDef("DG", (tm.parse_identity("(x1 x2)^w = (x2 x1)^w"),),
+                         monoidal=True, dual_of="DG"))
     for k in range(1, 5):
         dk = (_dk_identity(k),)
         kk = tuple(_chi_identity(p) for p in dk)

@@ -210,12 +210,14 @@ class GreenData:
 def kernel_labels(keys):
     """The kernel of x -> keys[x] as a label vector: equal keys share an
     id, and ids run in order of first occurrence, which numbers every
-    class by its least element (as Congruence does)."""
+    class by its least element."""
     ids = {}
     return tuple([ids.setdefault(k, len(ids)) for k in keys])
 
 
 def _partition_by(keys):
+    """The kernel of x -> keys[x] as (classes, class_of): the one place that
+    groups elements into classes (Green's relations, every Congruence)."""
     class_of = kernel_labels(keys)
     classes = {}
     for x, c in enumerate(class_of):
@@ -285,21 +287,18 @@ def direct_product(S, T):
 
 
 class Congruence:
-    """A partition of a semigroup's elements compatible with multiplication."""
+    """The kernel of x -> keys[x] on the elements of a semigroup, for any
+    hashable keys: x and y share a class when keys[x] == keys[y].  Classes
+    are numbered by least element.  Raises IncompatiblePartition when there
+    is not one key per element or, with check, when the partition is not
+    compatible with multiplication."""
 
-    def __init__(self, semigroup, classes, check=True):
+    def __init__(self, semigroup, keys, check=True):
         self.semigroup = semigroup
-        classes = tuple(sorted((frozenset(c) for c in classes), key=lambda c: min(c)))
-        self.classes = classes
-        class_of = [None] * semigroup.order
-        for ci, cls in enumerate(classes):
-            for x in cls:
-                if x < 0 or x >= semigroup.order or class_of[x] is not None:
-                    raise IncompatiblePartition("not a partition of the element set")
-                class_of[x] = ci
-        if any(c is None for c in class_of):
-            raise IncompatiblePartition("partition does not cover all elements")
-        self.class_of = tuple(class_of)
+        self.classes, self.class_of = _partition_by(keys)
+        if len(self.class_of) != semigroup.order:
+            raise IncompatiblePartition(
+                f"{len(self.class_of)} keys for {semigroup.order} elements")
         if check and not self._compatible():
             raise IncompatiblePartition("partition is not compatible with multiplication")
 
@@ -328,7 +327,7 @@ class Congruence:
 
 
 def identity_congruence(S):
-    return Congruence(S, [{x} for x in range(S.order)], check=False)
+    return Congruence(S, range(S.order), check=False)
 
 
 def congruence_from_pairs(S, pairs):
@@ -356,10 +355,7 @@ def congruence_from_pairs(S, pairs):
                 if find(a) != find(b):
                     union(a, b)
                     queue.append((a, b))
-    groups = {}
-    for x in range(S.order):
-        groups.setdefault(find(x), set()).add(x)
-    return Congruence(S, groups.values(), check=False)
+    return Congruence(S, [find(x) for x in range(S.order)], check=False)
 
 
 def quotient(S, cong):
@@ -390,6 +386,8 @@ def adjoin_identity_if_missing(S):
 
 
 CLOSURE_BUDGET = 4096
+DIVIDES_BUDGET = 200_000  # assignments |T|^m tried by divides
+WREATH_BUDGET = 200_000  # elements of a wreath product
 
 
 def closure(gens, mul):
@@ -484,7 +482,7 @@ def extends_to_homomorphism(A, B, pairs):
     return True
 
 
-def divides(S, T, budget=200_000):
+def divides(S, T):
     """Whether S divides T: some subsemigroup of T maps onto S, i.e. some
     assignment of T-elements to a generating tuple of S extends to a
     homomorphism."""
@@ -492,8 +490,9 @@ def divides(S, T, budget=200_000):
         return False
     gens = minimal_generating_set(S)
     m = len(gens)
-    if T.order ** m > budget:
-        raise BudgetExceeded(f"divides search |T|^{m} = {T.order ** m} exceeds budget {budget}")
+    if T.order ** m > DIVIDES_BUDGET:
+        raise BudgetExceeded(f"divides search |T|^{m} = {T.order ** m} exceeds "
+                             f"{DIVIDES_BUDGET}")
     return any(extends_to_homomorphism(T, S, zip(tup, gens))
                for tup in product(range(T.order), repeat=m))
 
@@ -509,7 +508,7 @@ def wreath_mul(T, D, x, y):
     return (h, D.table[d][e])
 
 
-def wreath_product(T, D, budget=200_000):
+def wreath_product(T, D):
     """The wreath product T^(D^I) x| D, with D acting by right translation.
 
     Elements are pairs (f, d) with f a function D^I -> T, multiplied by
@@ -518,8 +517,8 @@ def wreath_product(T, D, budget=200_000):
     """
     nd = D.order
     order = (T.order ** (nd + 1)) * nd
-    if order > budget:
-        raise BudgetExceeded(f"wreath product order {order} exceeds budget {budget}")
+    if order > WREATH_BUDGET:
+        raise BudgetExceeded(f"wreath product order {order} exceeds {WREATH_BUDGET}")
     elems = [(f, d) for f in product(range(T.order), repeat=nd + 1) for d in range(nd)]
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[wreath_mul(T, D, x, y)] for y in elems] for x in elems]
@@ -535,15 +534,14 @@ def congruences(S):
                              f"{CONGRUENCE_MAX_ORDER}")
 
     def join(c1, c2):
-        pairs = [(min(cls), x) for cls in c1 + c2 for x in cls]
-        return congruence_from_pairs(S, pairs).classes
+        pairs = [(min(cls), x) for cls in c1.classes + c2.classes for x in cls]
+        return congruence_from_pairs(S, pairs)
 
-    principal = [congruence_from_pairs(S, [(a, b)]).classes
+    principal = [congruence_from_pairs(S, [(a, b)])
                  for a in range(S.order) for b in range(a + 1, S.order)]
     found = set(closure(principal, join)[0])
-    found.add(identity_congruence(S).classes)
-    for cls in sorted(found, key=lambda cs: (len(cs), [sorted(c) for c in cs])):
-        yield Congruence(S, cls, check=False)
+    found.add(identity_congruence(S))
+    yield from sorted(found, key=lambda c: (len(c), [sorted(cls) for cls in c.classes]))
 
 
 CONGRUENCE_MAX_ORDER = 10

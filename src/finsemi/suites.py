@@ -54,10 +54,6 @@ class SuiteReport:
                 "passed": self.passed}
 
 
-def _sgp_json(S):
-    return S.to_json_dict()
-
-
 def _fail(report, **example):
     report.failed += 1
     if len(report.examples) < 25:
@@ -93,7 +89,7 @@ def suite_permanence(config):
             _fail(report, identity=text, side=side, verdict="unknown")
         elif verdict.refuted:
             w = dict(verdict.witness)
-            w["semigroup"] = _sgp_json(w["semigroup"])
+            w["semigroup"] = w["semigroup"].to_json_dict()
             _fail(report, identity=text, side=side, verdict="refuted", **w)
 
     for text in displayed + lg_p:
@@ -116,7 +112,7 @@ def suite_malcev_equalities(config):
             lhs = member(S, name)
             rhs = mv.malcev_member(S, Z, "Sl")
             if lhs != rhs:
-                _fail(report, semigroup=_sgp_json(S), variety=name, z=Z,
+                _fail(report, semigroup=S.to_json_dict(), variety=name, z=Z,
                       by_basis=lhs, by_mu=rhs)
     return report
 
@@ -129,7 +125,7 @@ def suite_prop11_commutation(config):
             for Vn in ("Sl", "G", "A"):
                 report.checked += 1
                 if not mv.locality_commutation_check(S, Z, Vn):
-                    _fail(report, semigroup=_sgp_json(S), z=Z, v=Vn)
+                    _fail(report, semigroup=S.to_json_dict(), z=Z, v=Vn)
     return report
 
 
@@ -143,7 +139,7 @@ def suite_cor35_idempotency(config):
             twice = mv.malcev_member_with(
                 S, Z, lambda T: mv.malcev_member(T, Z, "Sl"))
             if once != twice:
-                _fail(report, semigroup=_sgp_json(S), z=Z, once=once, twice=twice)
+                _fail(report, semigroup=S.to_json_dict(), z=Z, once=once, twice=twice)
     return report
 
 
@@ -203,7 +199,7 @@ def suite_thm61_words(config):
                     gens = {a: (fa[a], da[a]) for a in letters}
                     if reduce(mul, map(gens.get, u)) != reduce(mul, map(gens.get, v)):
                         _fail(report, v=Vn, k=k, u=u, w=v,
-                              wreath_t=_sgp_json(T), reason="wreath refutes")
+                              wreath_t=T.to_json_dict(), reason="wreath refutes")
     return report
 
 
@@ -220,7 +216,7 @@ def suite_thm44_shadow(config):
             rhs = all(member(sg.local_monoid(S, e), local_v)
                       for e in S.idempotents())
             if lhs != rhs:
-                _fail(report, semigroup=_sgp_json(S), z=Z, locals_in=local_v,
+                _fail(report, semigroup=S.to_json_dict(), z=Z, locals_in=local_v,
                       mu_side=lhs, local_side=rhs)
     return report
 
@@ -451,14 +447,14 @@ def suite_duality(config):
         pi = tm.parse_identity(rng.choice(bank))
         report.checked += 1
         if tm.satisfies(S, pi) != tm.satisfies(sg.dual(S), _chi_identity(pi)):
-            _fail(report, semigroup=_sgp_json(S), identity=str(pi))
+            _fail(report, semigroup=S.to_json_dict(), identity=str(pi))
     for _ in range(config.get("mu_samples", 100)):
         S = rng.choice(corpus)
         report.checked += 1
         lhs = sg.quotient(sg.dual(S), mv.mu_z(sg.dual(S), "K"))
         rhs = sg.dual(sg.quotient(S, mv.mu_z(S, "D")))
         if not sg.is_isomorphic(lhs, rhs):
-            _fail(report, semigroup=_sgp_json(S), reason="mu duality broken")
+            _fail(report, semigroup=S.to_json_dict(), reason="mu duality broken")
     return report
 
 

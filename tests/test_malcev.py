@@ -8,21 +8,24 @@ from finsemi.corpus import all_semigroups_upto
 from finsemi.errors import NotRegular, UnsupportedZ
 
 
-def big_j_view(S):
+def big_j(S):
     g = S.green()
-    j = max(g.regular_j, key=lambda ji: len(g.j_classes[ji]))
-    return mv.RegularJClassView(S, j)
+    return max(g.regular_j, key=lambda ji: len(g.j_classes[ji]))
+
+
+def regular_js(S):
+    return sorted(S.green().regular_j)
 
 
 def test_mu_zj_b2_li_identity():
     B2 = sg.catalog("B2")
-    c = mv.mu_zj(B2, big_j_view(B2), "LI")
+    c = mv.mu_zj(B2, big_j(B2), "LI")
     assert c.is_identity()
 
 
 def test_mu_zj_group_k_identity():
     C3 = sg.catalog("cyclic", 3)
-    c = mv.mu_zj(C3, big_j_view(C3), "K")
+    c = mv.mu_zj(C3, big_j(C3), "K")
     assert c.is_identity()
 
 
@@ -39,7 +42,7 @@ def test_mu_zj_not_regular():
     g = S.green()
     bad = next(j for j in range(len(g.j_classes)) if j not in g.regular_j)
     with pytest.raises(NotRegular):
-        mv.RegularJClassView(S, bad)
+        mv.mu_zj(S, bad, "K")
 
 
 def test_mu_z_unsupported():
@@ -57,10 +60,9 @@ def test_mu_quotient_subdirect_of_per_j_images():
     # quotient(S, mu_z(S, LI)) divides the product of per-J GGM images
     for S in [sg.catalog("B2_1"), sg.catalog("U1"), sg.catalog("free_band_2")]:
         Q = mv.mu_quotient(S, "LI")
-        views = mv.regular_j_views(S)
         prod = None
-        for v in views:
-            img = sg.quotient(S, mv.mu_zj(S, v, "LI"))
+        for j in regular_js(S):
+            img = sg.quotient(S, mv.mu_zj(S, j, "LI"))
             prod = img if prod is None else sg.direct_product(prod, img)
         assert sg.divides(Q, prod)
 
@@ -104,24 +106,25 @@ def test_locality_commutation_examples():
 def test_faithfulness_of_mu_zj_quotients():
     # the quotient acts faithfully in its MuKind sense on the image class
     for S in all_semigroups_upto(4):
-        for v in mv.regular_j_views(S):
+        for j in regular_js(S):
+            x = min(S.green().j_classes[j])
             for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
-                c = mv.mu_zj(S, v, Z)
+                c = mv.mu_zj(S, j, Z)
                 Q = sg.quotient(S, c)
-                qv = mv.RegularJClassView(
-                    Q, Q.green().j_class_of[c.class_of[v.elements[0]]])
-                assert mv.mu_zj(Q, qv, Z).is_identity(), (S.table, Z)
+                qj = Q.green().j_class_of[c.class_of[x]]
+                assert mv.mu_zj(Q, qj, Z).is_identity(), (S.table, Z)
 
 
 def test_local_monoids_of_mu_zj_images_are_z_semigroups():
     # every local monoid of the mu_{Z,J} image is itself a Z-semigroup
     # (faithful for its own distinguished class, the trace of the image class)
     for S in all_semigroups_upto(4):
-        for v in mv.regular_j_views(S):
+        for j in regular_js(S):
+            x = min(S.green().j_classes[j])
             for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
-                c = mv.mu_zj(S, v, Z)
+                c = mv.mu_zj(S, j, Z)
                 Q = sg.quotient(S, c)
-                jbar_id = Q.green().j_class_of[c.class_of[v.elements[0]]]
+                jbar_id = Q.green().j_class_of[c.class_of[x]]
                 jbar = Q.green().j_classes[jbar_id]
                 for e in Q.idempotents():
                     M = _local_with_map(Q, e)
@@ -134,8 +137,7 @@ def test_local_monoids_of_mu_zj_images_are_z_semigroups():
                     jm = g.j_class_of[Mi[inter[0]]]
                     if jm not in g.regular_j:
                         continue
-                    view_m = mv.RegularJClassView(M["sgp"], jm)
-                    assert mv.mu_zj(M["sgp"], view_m, Z).is_identity()
+                    assert mv.mu_zj(M["sgp"], jm, Z).is_identity()
 
 
 def _local_with_map(S, e):
@@ -303,7 +305,31 @@ def test_cached_route_matches_the_uncached_route():
 
 # ---------------------------------------------------------------------------
 # The label-vector kernels against the reference construction below, which
-# computes every signature per element of S and meets Congruence objects.
+# keeps its own view of a J-class (sorted elements, least representatives),
+# computes every signature per element of S, and groups elements by hand.
+
+
+class _RefView:
+    def __init__(self, S, j_id):
+        g = S.green()
+        self.semigroup = S
+        self.elements = tuple(sorted(g.j_classes[j_id]))
+        self.element_set = frozenset(self.elements)
+
+
+class _RefPartition:
+    """classes sorted by least element, and class_of numbering them."""
+
+    def __init__(self, n, key_of):
+        groups = {}
+        for s in range(n):
+            groups.setdefault(key_of(s), set()).add(s)
+        self.classes = tuple(sorted(map(frozenset, groups.values()), key=min))
+        class_of = [None] * n
+        for ci, cls in enumerate(self.classes):
+            for x in cls:
+                class_of[x] = ci
+        self.class_of = tuple(class_of)
 
 
 def _ref_right_signature(S, view, s):
@@ -343,22 +369,17 @@ def _ref_left_on_r_signature(S, view, s):
 
 
 def _ref_kernel_of(S, view, fn):
-    groups = {}
-    for s in range(S.order):
-        groups.setdefault(fn(S, view, s), set()).add(s)
-    return sg.Congruence(S, groups.values(), check=False)
+    return _RefPartition(S.order, lambda s: fn(S, view, s))
 
 
 def _ref_sequential_kernel(S, view, first_fn, second_fn):
     c1 = _ref_kernel_of(S, view, first_fn)
-    T1 = sg.quotient(S, c1)
-    jbar = T1.green().j_class_of[c1.class_of[view.elements[0]]]
-    view1 = mv.RegularJClassView(T1, jbar)
-    groups = {}
-    for s in range(S.order):
-        sig = second_fn(T1, view1, c1.class_of[s])
-        groups.setdefault(sig, set()).add(s)
-    return sg.Congruence(S, groups.values(), check=False)
+    reps = [min(c) for c in c1.classes]
+    T1 = sg.FiniteSemigroup(
+        [[c1.class_of[S.table[x][y]] for y in reps] for x in reps], check=False)
+    view1 = _RefView(T1, T1.green().j_class_of[c1.class_of[view.elements[0]]])
+    return _RefPartition(S.order,
+                         lambda s: second_fn(T1, view1, c1.class_of[s]))
 
 
 def _ref_mu_zj(S, view, Z):
@@ -375,12 +396,8 @@ def _ref_mu_zj(S, view, Z):
 
 
 def _ref_mu_z(S, Z):
-    kerns = [_ref_mu_zj(S, v, Z) for v in mv.regular_j_views(S)]
-    groups = {}
-    for s in range(S.order):
-        sig = tuple(k.class_of[s] for k in kerns)
-        groups.setdefault(sig, set()).add(s)
-    return sg.Congruence(S, groups.values(), check=False)
+    kerns = [_ref_mu_zj(S, _RefView(S, j), Z) for j in regular_js(S)]
+    return _RefPartition(S.order, lambda s: tuple(k.class_of[s] for k in kerns))
 
 
 def test_mu_matches_the_congruence_reference():
@@ -391,7 +408,7 @@ def test_mu_matches_the_congruence_reference():
             got, want = mv.mu_z(S, Z), _ref_mu_z(S, Z)
             assert (got.classes, got.class_of) == (want.classes, want.class_of), \
                 (S.table, Z)
-            for v in mv.regular_j_views(S):
-                got, want = mv.mu_zj(S, v, Z), _ref_mu_zj(S, v, Z)
+            for j in regular_js(S):
+                got, want = mv.mu_zj(S, j, Z), _ref_mu_zj(S, _RefView(S, j), Z)
                 assert (got.classes, got.class_of) == \
-                    (want.classes, want.class_of), (S.table, Z, v.j_id)
+                    (want.classes, want.class_of), (S.table, Z, j)

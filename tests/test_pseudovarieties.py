@@ -96,6 +96,14 @@ def test_certifier_examples():
     assert pv.proves_equal_over_S(T("a^w a^(2^w)"), T("a^(2^w)")).proved
 
 
+def test_certifier_size_cap(monkeypatch):
+    u, v = T("(x1^w)^w"), T("x1^w")  # joint size 3 + 2
+    monkeypatch.setattr(pv, "PROOF_SIZE_CAP", 5)
+    assert pv.proves_equal_over_S(u, v).proved
+    monkeypatch.setattr(pv, "PROOF_SIZE_CAP", 4)
+    assert pv.proves_equal_over_S(u, v).unknown
+
+
 def test_certifier_soundness_audit():
     # Everything the certifier proves must hold in every sampled model.
     rng = random.Random(11)

@@ -203,7 +203,23 @@ def test_quotient_is_homomorphic_image():
 def test_incompatible_partition_rejected():
     B2 = sg.catalog("B2")
     with pytest.raises(IncompatiblePartition):
-        sg.Congruence(B2, [{0, 1}, {2}, {3}, {4}])
+        sg.Congruence(B2, [0, 0, 1, 2, 3])
+
+
+def test_congruence_classes_numbered_by_least_element():
+    # tuple keys holding None, as the mu kernels pass them
+    S = sg.catalog("null", 5)
+    keys = [(1, None), (None, 2), (1, None), (0, None), (None, 2)]
+    c = sg.Congruence(S, keys, check=False)
+    assert c.classes == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3}))
+    assert c.class_of == (0, 1, 0, 2, 1)
+
+
+def test_congruence_needs_one_key_per_element():
+    B2 = sg.catalog("B2")
+    for keys in ([0, 0, 0, 0], range(6)):
+        with pytest.raises(IncompatiblePartition):
+            sg.Congruence(B2, keys, check=False)
 
 
 def test_generate_b2_from_a_b():
@@ -229,10 +245,11 @@ def test_divides_transitive_on_samples():
     assert sg.divides(U1, B21)
 
 
-def test_divides_budget():
+def test_divides_budget(monkeypatch):
+    monkeypatch.setattr(sg, "DIVIDES_BUDGET", 3)
     big = sg.catalog("free_band_2")
     with pytest.raises(BudgetExceeded):
-        sg.divides(sg.catalog("B2"), big, budget=3)
+        sg.divides(sg.catalog("B2"), big)
 
 
 def test_congruences_trivial_and_u1():
@@ -313,6 +330,15 @@ def test_wreath_trivial_by_trivial():
     T = sg.catalog("trivial")
     W = sg.wreath_product(T, T)
     assert W.order == 1
+
+
+def test_wreath_budget(monkeypatch):
+    U1, D1a = sg.catalog("U1"), sg.catalog("free_d", 1, "a")
+    monkeypatch.setattr(sg, "WREATH_BUDGET", (2 ** 2) * 1)
+    assert sg.wreath_product(U1, D1a).order == 4
+    monkeypatch.setattr(sg, "WREATH_BUDGET", 3)
+    with pytest.raises(BudgetExceeded):
+        sg.wreath_product(U1, D1a)
 
 
 def test_wreath_size_formula():
