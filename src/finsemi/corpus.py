@@ -80,28 +80,6 @@ def _assoc_ok_after(table, n, i, j):
     return True
 
 
-def _labeled_tables(n):
-    """All associative n x n tables, by backtracking with pruning.  The
-    reference that tests compare `_canonical_tables` against."""
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    table = [[None] * n for _ in range(n)]
-    out = []
-
-    def rec(k):
-        if k == len(cells):
-            out.append(tuple(tuple(row) for row in table))
-            return
-        i, j = cells[k]
-        for v in range(n):
-            table[i][j] = v
-            if _assoc_ok_after(table, n, i, j):
-                rec(k + 1)
-        table[i][j] = None
-
-    rec(0)
-    return out
-
-
 def _canonical_tables(n):
     """The flattened canonical forms of all associative n x n tables, in
     ascending order (orderly generation, after McKay, "Isomorph-free

@@ -11,7 +11,9 @@ equal length-k prefixes, equal length-k suffixes, and V |= the window
 images.  Two plain words are decided by slicing: ends and windows are
 tuple slices, and word_problem_equal compares the block tuples.  Terms
 are decided by the structural lifting, which is also the differential
-oracle of the slicing path.
+oracle of the slicing path.  The lifting is memoized by (term, k):
+terms are frozen, so each distinct subterm is lifted once per process,
+however often it recurs inside a term or across the terms decided.
 
 Word images live in a finite relatively free object whenever
 V's free objects are finite (Sl, K_m, D_m, N_m, D_j); its elements are
@@ -19,6 +21,7 @@ short words plus (prefix, suffix, V-value) triples.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from . import semigroups as sg
@@ -102,9 +105,11 @@ def _phi_prefixed(prefix, f, k):
     raise UnsupportedShape(f"cannot lift {f!r}")
 
 
+@cache
 def phi_k_term(t, k):
     """The window image of an omega-term, as a term over block letters
-    (None for the empty image).  Blocks are tuples of base letters."""
+    (None for the empty image).  Blocks are tuples of base letters.
+    Memoized by (t, k); an UnsupportedShape is raised again on each call."""
     w = tm.is_finite_word(t)
     if w is not None:
         return _word_image(w, k)

@@ -229,22 +229,17 @@ def minimize(d):
     initial = remap[d.initial]
 
     n = len(states)
-    block = [1 if q in finals else 0 for q in range(n)]
+    block = sg.kernel_labels(q in finals for q in range(n))
     while True:
-        sigs = {}
-        new_block = []
-        for q in range(n):
-            sig = (block[q],) + tuple(block[delta[q][a]] for a in range(len(d.alphabet)))
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block.append(sigs[sig])
+        new_block = sg.kernel_labels(
+            (block[q],) + tuple(block[r] for r in delta[q]) for q in range(n))
         if new_block == block:
             break
         block = new_block
     m = max(block) + 1
     mdelta = [None] * m
     for q in range(n):
-        mdelta[block[q]] = tuple(block[delta[q][a]] for a in range(len(d.alphabet)))
+        mdelta[block[q]] = tuple(block[r] for r in delta[q])
     mfinals = frozenset(block[q] for q in finals)
     mi = block[initial]
     # canonical BFS renaming

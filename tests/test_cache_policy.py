@@ -3,7 +3,8 @@ functools.cache on the function that computes it; derived data of one
 semigroup (local monoids, mu quotients, membership verdicts) is cached on
 the instance and dies with it.  The one hand-rolled memo is
 pseudovarieties._absorb_memo, whose in-progress sentinel a
-functools.cache cannot express."""
+functools.cache cannot express.  The memoized term maps (canon,
+dk.phi_k_term) give the same results whatever order they are called in."""
 
 import ast
 import gc
@@ -12,12 +13,15 @@ import weakref
 from pathlib import Path
 
 import finsemi
+from finsemi import dk
 from finsemi import factorization as fz
 from finsemi import malcev as mv
 from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
 from finsemi import suites
+from finsemi import terms as tm
 from finsemi.corpus import all_semigroups_upto
+from finsemi.errors import UnsupportedShape
 
 HAND_ROLLED = {"_absorb_memo"}
 
@@ -55,17 +59,41 @@ def test_no_module_level_mutable_state():
     assert offences == []
 
 
+def _clear_canon():
+    pv.canon.cache_clear()
+    pv._absorb_memo.clear()
+
+
+def _forward_and_backward(fn, clear, terms):
+    """fn over the terms in order and in reverse, each from cleared memos,
+    both listed in the order of `terms`; a raised UnsupportedShape counts
+    as a result."""
+    def run(seq):
+        clear()
+        out = []
+        for t in seq:
+            try:
+                out.append(fn(t))
+            except UnsupportedShape as exc:
+                out.append(("UnsupportedShape",) + exc.args)
+        return out
+    return run(terms), run(terms[::-1])[::-1]
+
+
 def test_canon_does_not_depend_on_call_order():
+    maps = [("canon", pv.canon, _clear_canon)] + [
+        (f"phi_{k}", lambda t, k=k: dk.phi_k_term(t, k), dk.phi_k_term.cache_clear)
+        for k in (1, 2)]
+    # a short base under p^omega cannot be lifted: each such term raises
+    # after the lifts of its other factors are cached
+    unliftable = tm.parse_term("a^(2^w)")
     for seed in (0, 1, 2):
         rng = random.Random(seed)
         terms = [suites._random_term(rng, "ab") for _ in range(6000)]
-        pv.canon.cache_clear()
-        pv._absorb_memo.clear()
-        forward = [pv.canon(t) for t in terms]
-        pv.canon.cache_clear()
-        pv._absorb_memo.clear()
-        backward = [pv.canon(t) for t in reversed(terms)]
-        assert forward == backward[::-1], seed
+        terms += [tm.concat(t, unliftable) for t in terms[::100]]
+        for name, fn, clear in maps:
+            forward, backward = _forward_and_backward(fn, clear, terms)
+            assert forward == backward, (seed, name)
 
 
 def test_the_corpus_is_shared():

@@ -34,10 +34,32 @@ def test_entries_are_canonical_and_distinct():
         assert len(canons) == len(entries)
 
 
+def _labeled_tables(n):
+    """All associative n x n tables, by backtracking with pruning: the
+    reference that orderly generation is compared against."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    table = [[None] * n for _ in range(n)]
+    out = []
+
+    def rec(k):
+        if k == len(cells):
+            out.append(tuple(tuple(row) for row in table))
+            return
+        i, j = cells[k]
+        for v in range(n):
+            table[i][j] = v
+            if cp._assoc_ok_after(table, n, i, j):
+                rec(k + 1)
+        table[i][j] = None
+
+    rec(0)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orderly_generation_matches_labeled_search(n):
     # reference: every labeled table, canonicalized and deduplicated
-    ref = sorted({sg.canonical_form(t) for t in cp._labeled_tables(n)})
+    ref = sorted({sg.canonical_form(t) for t in _labeled_tables(n)})
     assert cp._canonical_tables(n) == ref
     lines = []
     for i, flat in enumerate(ref):

@@ -170,20 +170,23 @@ def test_free_object_sl_one_letter():
 
 
 def test_free_object_orders_against_word_saturation():
-    # brute force oracle: word images by increasing length until a whole
-    # length adds nothing new (then nothing longer can, by the
-    # homomorphism property)
-    from itertools import product as iproduct
+    # oracle: a breadth-first search over words that keeps one shortest
+    # word per image.  By the homomorphism property the image of wa
+    # depends only on the image of w, so extending the kept words by
+    # every letter reaches every image, and |F|.|A| words are visited.
     for Vn, k, letters in [("Sl", 1, "ab"), ("K_2", 1, "ab"), ("D_2", 2, "ab"),
                            ("N_2", 1, "ab"), ("Sl", 2, "ab"), ("D_1", 1, "ab")]:
         F = dk.free_object_vdk(Vn, letters, k)
         seen = set()
-        for ln in range(1, 25):
-            before = len(seen)
-            for w in iproduct(letters, repeat=ln):
-                seen.add(F.image_of_word(w))
-            if len(seen) == before:
-                break
+        level = [(a,) for a in letters]
+        while level:
+            new = []
+            for w in level:
+                image = F.image_of_word(w)
+                if image not in seen:
+                    seen.add(image)
+                    new.append(w)
+            level = [w + (a,) for w in new for a in letters]
         assert len(seen) == F.semigroup.order, (Vn, k, len(seen))
 
 

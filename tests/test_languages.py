@@ -35,6 +35,9 @@ def test_minimize_idempotent_and_presentation_independent():
     d2 = lg.parse_regex("ab(ab)*")
     assert d1 == d2  # canonical minimal DFA
     assert lg.minimize(d1) == d1
+    one = lg.Dfa(("a",), ((0,),), 0, frozenset({0}))  # a+, one final state
+    assert lg.minimize(one) == one
+    assert lg.minimize(lg.Dfa(("a",), ((1,), (0,)), 0, frozenset({0, 1}))) == one
     s1 = lg.syntactic_semigroup(lg.parse_regex("a(ba)*b|ab(ab)*"))
     s2 = lg.syntactic_semigroup(d1)
     assert sg.is_isomorphic(s1.semigroup, s2.semigroup)
