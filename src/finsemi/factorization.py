@@ -126,8 +126,10 @@ def _split_factors(factors, acc, full):
     raise UnsupportedShape("content never completed during the scan")
 
 
+@cache
 def lbf_term(t):
-    """Left basic factorization of a nonempty omega-term."""
+    """Left basic factorization of a nonempty omega-term.  Memoized: the
+    result is shared, so callers must not mutate it."""
     full = tm.content(t)
     factors = list(t.parts) if isinstance(t, tm.Concat) else [t]
     x_parts, a, y_parts = _split_factors(factors, set(), full)
@@ -145,6 +147,7 @@ def _zero_offsets(t):
     return tm.power(_zero_offsets(t.base), e)
 
 
+@cache
 def term_signature(t):
     """Normal form with limit-exponent offsets collapsed; sound for cycle
     detection since the factorization scan never consults the offsets,
@@ -241,11 +244,10 @@ def ilbf2(u, cap=60):
         raise ValueError("ilbf2 requires a term longer than 1")
     img_content = tm.content(img)
     res = ilbf_term(img, cap=cap)
-    if len(img_content) == 1:
-        return _ilbf2_degenerate(
-            u, img_content, res.length if res.outcome == "finite" else None, False)
     if res.outcome == "unknown":
         return Ilbf2Result("unknown", [], witness=res.cap)
+    if len(img_content) == 1:
+        return _ilbf2_degenerate(u, img_content, res.length, False)
     factors = [_unphi_term(x) if x is not None else None for (x, _a) in res.factors]
     if any(f is None for f in factors):
         raise UnsupportedShape("empty x-part outside the degenerate case")

@@ -13,6 +13,7 @@ with tuples of letters as opaque block symbols.
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 from .errors import TermSyntaxError, UnboundLetter
@@ -38,12 +39,20 @@ class Exponent:
     offset: int
 
     def __post_init__(self):
+        for name in ("p", "offset"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"exponent {name} must be an integer, got a bool")
         if self.kind not in ("omega", "primeomega"):
             raise ValueError(f"bad exponent kind {self.kind!r}")
         if self.kind == "primeomega" and not (self.p and _is_prime(self.p)):
             raise ValueError(f"primeomega requires a prime, got {self.p!r}")
         if self.kind == "omega" and self.p is not None:
             raise ValueError("omega exponent carries no prime")
+
+    def __hash__(self):
+        # hash(None) is the address of None before Python 3.12, so the
+        # missing prime of an omega exponent hashes as 0
+        return hash((self.kind, self.p or 0, self.offset))
 
     def shifted(self, d):
         return Exponent(self.kind, self.p, self.offset + d)
@@ -61,38 +70,95 @@ def prime_omega(p, offset=0):
 
 
 class Term:
-    __slots__ = ()
+    """An omega-term node.  Nodes are hash-consed: each constructor
+    validates its fields, then returns the one shared node for them, so
+    equal terms are the same object and equality is identity.  The hash
+    is structural (the node kind and its fields' stored hashes, never the
+    address), computed once and stored; `content` is stored on first use."""
+
+    __slots__ = ("_hash", "_content")
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __reduce__(self):  # pickle and copy go through the constructor
+        return (type(self), self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(type(self).__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
+def _node(cls, *values):
+    """A new node of cls with the given field values, in slot order."""
+    node = object.__new__(cls)
+    object.__setattr__(node, "_hash", hash((cls.__name__, *values)))
+    object.__setattr__(node, "_content", None)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(node, name, value)
+    return node
+
+
+# The intern builders: one node per distinct field tuple, for the life of
+# the process.  Never clear them, or equal terms stop being identical.
+
+
+@cache
+def _letter(symbol):
+    return _node(Letter, symbol)
+
+
+@cache
+def _concat(parts):
+    return _node(Concat, parts)
+
+
+@cache
+def _power(base, exp):
+    return _node(Power, base, exp)
+
+
 class Letter(Term):
-    symbol: object
+    __slots__ = ("symbol",)
+
+    def __new__(cls, symbol):
+        return _letter(symbol)
 
     def __repr__(self):
         return f"Letter({self.symbol!r})"
 
 
-@dataclass(frozen=True)
 class Concat(Term):
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        if len(parts) < 2:
             raise ValueError("Concat needs at least two parts")
-        if any(isinstance(p, Concat) for p in self.parts):
+        if any(isinstance(p, Concat) for p in parts):
             raise ValueError("Concat parts must be flattened")
+        return _concat(parts)
 
 
-@dataclass(frozen=True)
 class Power(Term):
-    base: Term
-    exp: object  # int >= 2 or Exponent
+    __slots__ = ("base", "exp")  # exp: an int >= 2 or an Exponent
 
-    def __post_init__(self):
-        if isinstance(self.exp, int) and self.exp < 2:
+    def __new__(cls, base, exp):
+        if isinstance(exp, bool) or not isinstance(exp, (int, Exponent)):
+            raise ValueError(f"bad exponent {exp!r}")
+        if isinstance(exp, int) and exp < 2:
             raise ValueError("integer powers must be >= 2")
-        if not isinstance(self.exp, (int, Exponent)):
-            raise ValueError(f"bad exponent {self.exp!r}")
+        return _power(base, exp)
 
 
 def letter(sym):
@@ -113,12 +179,12 @@ def concat(*terms):
         raise ValueError("empty concatenation")
     if len(parts) == 1:
         return parts[0]
-    return Concat(tuple(parts))
+    return _concat(tuple(parts))  # flattened above, as Concat requires
 
 
 def power(base, exp):
     """Power constructor; exp 1 collapses to the base."""
-    if isinstance(exp, int):
+    if isinstance(exp, int) and not isinstance(exp, bool):
         if exp == 1:
             return base
         if exp < 1:
@@ -302,15 +368,17 @@ def term_to_text(t):
 
 
 def content(t):
-    """The set of letters occurring in t."""
-    if isinstance(t, Letter):
-        return frozenset((t.symbol,))
-    if isinstance(t, Concat):
-        out = set()
-        for p in t.parts:
-            out |= content(p)
-        return frozenset(out)
-    return content(t.base)
+    """The set of letters occurring in t, stored on the node."""
+    c = t._content
+    if c is None:
+        if isinstance(t, Letter):
+            c = frozenset((t.symbol,))
+        elif isinstance(t, Concat):
+            c = frozenset().union(*map(content, t.parts))
+        else:
+            c = content(t.base)
+        object.__setattr__(t, "_content", c)
+    return c
 
 
 def substitute(t, mapping):

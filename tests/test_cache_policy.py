@@ -4,7 +4,8 @@ semigroup (local monoids, mu quotients, membership verdicts) is cached on
 the instance and dies with it.  The one hand-rolled memo is
 pseudovarieties._absorb_memo, whose in-progress sentinel a
 functools.cache cannot express.  The memoized term maps (canon,
-dk.phi_k_term) give the same results whatever order they are called in."""
+dk.phi_k_term, factorization.lbf_term and factorization.term_signature)
+give the same results whatever order they are called in."""
 
 import ast
 import gc
@@ -83,7 +84,10 @@ def _forward_and_backward(fn, clear, terms):
 def test_canon_does_not_depend_on_call_order():
     maps = [("canon", pv.canon, _clear_canon)] + [
         (f"phi_{k}", lambda t, k=k: dk.phi_k_term(t, k), dk.phi_k_term.cache_clear)
-        for k in (1, 2)]
+        for k in (1, 2)] + [
+        ("lbf_term", fz.lbf_term, fz.lbf_term.cache_clear),
+        ("term_signature", fz.term_signature,
+         lambda: (fz.term_signature.cache_clear(), _clear_canon()))]
     # a short base under p^omega cannot be lifted: each such term raises
     # after the lifts of its other factors are cached
     unliftable = tm.parse_term("a^(2^w)")

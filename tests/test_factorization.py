@@ -147,6 +147,17 @@ def test_ilbf2_terms():
     assert res.outcome == "finite"
 
 
+def test_ilbf2_cap_in_the_degenerate_case():
+    # the window image of a^50 is one block, repeated 49 times: past the
+    # cap the factorization is unknown, not infinite
+    word = fz.ilbf2("a" * 50)
+    assert fz.ilbf2(T("a^50"), cap=40).outcome == "unknown"
+    res = fz.ilbf2(T("a^50"), cap=60)
+    assert res.outcome == word.outcome == "finite"
+    assert res.length == word.length == 49
+    assert res.factors == [tm.Letter("a")] * 49 and res.q == tm.Letter("a")
+
+
 def bounded_unfolding_regular(t, k):
     """Oracle: replace limit exponents by M in {4, 6, 8}; the term is
     regular iff the ilbf length of the window image keeps growing."""

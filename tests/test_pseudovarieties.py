@@ -4,7 +4,9 @@ import pytest
 
 from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
+from finsemi import suites
 from finsemi import terms as tm
+from finsemi.corpus import all_semigroups_upto
 from finsemi.errors import UnknownName, WrongAlphabet
 
 
@@ -125,6 +127,22 @@ def test_certifier_soundness_audit():
         pi = tm.pseudo_identity(u, v_)
         for S in pool:
             assert tm.satisfies(S, pi)
+
+
+def test_normal_forms_hold_in_every_small_semigroup():
+    # each rewrite t -> canon(t) on lemma69 terms holds in every semigroup
+    # of order <= 4, checked by evaluation alone
+    rng = random.Random(3)
+    rewritten = []
+    while len(rewritten) < 100:
+        t = suites._random_term(rng, "ab")
+        if pv.canon(t) != t:
+            rewritten.append(tm.pseudo_identity(t, pv.canon(t)))
+    corpus = all_semigroups_upto(4)
+    assert len(corpus) == 218
+    for pi in rewritten:
+        bad = [S.table for S in corpus if not tm.satisfies(S, pi)]
+        assert bad == [], str(pi)
 
 
 def test_left_permanence_of_display_list():

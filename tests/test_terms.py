@@ -1,10 +1,16 @@
+import copy
 import math
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsemi import semigroups as sg
+from finsemi import suites
 from finsemi import terms as tm
 from finsemi.errors import TermSyntaxError, UnboundLetter
 
@@ -34,6 +40,27 @@ def test_parse_rejects_bad_powers():
         T("x^")
     with pytest.raises(TermSyntaxError):
         T("(a b")
+
+
+def test_boolean_exponents_are_rejected():
+    a = tm.Letter("a")
+    for flag in (True, False):
+        for build in (lambda: tm.power(a, flag), lambda: tm.Power(a, flag),
+                      lambda: tm.omega(flag), lambda: tm.prime_omega(2, flag),
+                      lambda: tm.Exponent("primeomega", flag, 0)):
+            with pytest.raises(ValueError):
+                build()
+
+
+def test_invalid_nodes_are_not_interned():
+    a = tm.Letter("a")
+    aa = tm.Concat([a, a])
+    before = tm._concat.cache_info().currsize, tm._power.cache_info().currsize
+    for build in (lambda: tm.Concat([a]), lambda: tm.Concat([a, aa]),
+                  lambda: tm.Power(a, 1), lambda: tm.Power(a, "w")):
+        with pytest.raises(ValueError):
+            build()
+    assert (tm._concat.cache_info().currsize, tm._power.cache_info().currsize) == before
 
 
 def test_parse_rejects_non_prime():
@@ -232,3 +259,92 @@ def test_satisfies_invariant_under_renaming():
         tm.substitute(pi.lhs, {"x1": tm.Letter("y1"), "x2": tm.Letter("y2")}),
         tm.substitute(pi.rhs, {"x1": tm.Letter("y1"), "x2": tm.Letter("y2")}))
     assert tm.satisfies(B2, pi) == tm.satisfies(B2, renamed)
+
+
+def _same_structure(s, t):
+    """Structural equality written out: node type and fields, recursively."""
+    if type(s) is not type(t):
+        return False
+    if isinstance(s, tm.Letter):
+        return s.symbol == t.symbol
+    if isinstance(s, tm.Concat):
+        return (len(s.parts) == len(t.parts)
+                and all(map(_same_structure, s.parts, t.parts)))
+    return (type(s.exp) is type(t.exp) and s.exp == t.exp
+            and _same_structure(s.base, t.base))
+
+
+def _rebuild(t):
+    """A fresh construction of t, node by node, with lists for parts."""
+    if isinstance(t, tm.Letter):
+        return tm.Letter(t.symbol)
+    if isinstance(t, tm.Concat):
+        return tm.Concat([_rebuild(p) for p in t.parts])
+    return tm.Power(_rebuild(t.base), t.exp)
+
+
+def _lemma69_terms(seed, n):
+    rng = random.Random(seed)
+    return [suites._random_term(rng, "ab") for _ in range(n)]
+
+
+def test_terms_are_hash_consed():
+    terms = _lemma69_terms(0, 150) + _lemma69_terms(1, 150)
+    again = _lemma69_terms(0, 150)
+    assert all(s is t for s, t in zip(terms, again))
+    equal_pairs = 0
+    for s in terms:
+        for t in terms:
+            same = _same_structure(s, t)
+            assert (s == t) == same == (s is t)
+            if same:
+                equal_pairs += 1
+                assert hash(s) == hash(t)
+    assert equal_pairs > len(terms)  # the sample repeats some terms
+    for t in terms:
+        assert _rebuild(t) is t
+        assert tm.parse_term(tm.term_to_text(t)) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t and copy.copy(t) is t
+
+
+def test_term_nodes_are_immutable():
+    t = T("a (a b)^w")
+    power = t.parts[1]
+    for node, name in ((t.parts[0], "symbol"), (t, "parts"), (power, "base"),
+                       (power, "exp"), (t, "_hash"), (t, "colour")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+    with pytest.raises(AttributeError):
+        del power.base
+
+
+def test_concat_of_a_list_is_hashable():
+    a = tm.Letter("a")
+    t = tm.Concat([a, a])
+    assert t is tm.Concat((a, a)) is T("a a")
+    assert {t: 1}[T("a a")] == 1
+
+
+def test_term_reprs():
+    assert repr(T("a b^w")) == (
+        "Concat(parts=(Letter('a'), Power(base=Letter('b'), "
+        "exp=Exponent(kind='omega', p=None, offset=0))))")
+    assert repr(T("(a b)^2")) == (
+        "Power(base=Concat(parts=(Letter('a'), Letter('b'))), exp=2)")
+
+
+def test_term_hashes_do_not_depend_on_addresses():
+    # the hash is structural, so sets of terms iterate in the same order
+    # in every process with the same PYTHONHASHSEED
+    script = (
+        "import sys; junk = [object() for _ in range(int(sys.argv[1]))]\n"
+        "from finsemi import terms as tm\n"
+        "ts = [tm.parse_term(x) for x in ('a', 'a b', 'b^w a', '(a b)^(w-1)', 'b a b')]\n"
+        "print([hash(t) for t in ts], [tm.term_to_text(t) for t in set(ts)])\n")
+    src = str(Path(tm.__file__).parents[1])
+    runs = [subprocess.run([sys.executable, "-c", script, str(n)], check=True,
+                           capture_output=True, text=True,
+                           env={"PYTHONHASHSEED": "0", "PYTHONPATH": src}).stdout
+            for n in (0, 5000)]
+    assert runs[0] == runs[1] and runs[0]
