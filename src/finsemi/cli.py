@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 counterexample or negative
-answer, 2 usage error, 3 budget exceeded.
+answer, 2 usage error, 3 budget exceeded.  `malcev` exits on its verdict
+when only the optional witness search exceeds its budget.
 """
 
 import argparse
@@ -84,7 +85,12 @@ def cmd_malcev(args):
     if args.z not in ("N", "NvG"):
         out["mu_quotient_order"] = mv.mu_quotient(S, args.z).order
     if ok:
-        witness = mv.witness_homomorphism(S, args.z, V)
+        # the witness search is optional: past its budget the verdict stands
+        try:
+            witness = mv.witness_homomorphism(S, args.z, V)
+        except BudgetExceeded as exc:
+            witness = None
+            out["witness_skipped"] = f"budget exceeded: {exc}"
         if witness is not None:
             c, Q = witness
             out["witness"] = {"classes": [sorted(x) for x in c.classes],

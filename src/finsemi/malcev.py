@@ -4,11 +4,12 @@ For a regular J-class J of S, the action kernels on J^0 (right action,
 right action on L-classes, two-sided, and duals) realize the canonical
 quotients onto right mapping / right letter mapping / generalized group
 mapping semigroups and their variants.  Each kernel is a label vector
-over S, read from J as a class of S's Green data; the mu_Z congruence
-is the kernel of the tuple of labels over all regular J-classes, and
-its quotient decides membership in Z m V for Z in the eight-element
-family handled here; N and N v G route through intersections of the
-K/D (resp. K v G / D v G) sides.
+over S, read from J as a class of S's Green data and cached on S by
+(Z, J), so that LI and LG take the cached kernels of K and K v G as
+their first stage.  The mu_Z congruence is the kernel of the tuple of
+labels over all regular J-classes, and its quotient decides membership
+in Z m V for Z in the eight-element family handled here; N and N v G
+route through intersections of the K/D (resp. K v G / D v G) sides.
 """
 
 from . import semigroups as sg
@@ -50,35 +51,44 @@ def _left_on_r_signatures(S, J):
                  for x in reps))
 
 
-def _sequential_labels(S, J, first, second):
-    """Kernel of S -> T1 (the first-action image) -> (second action of T1
-    on the image of J).  This staged composition is what makes the
-    generalized group mapping quotients collapse correctly; the direct
-    meet of the two action kernels is strictly finer in general.  The
-    image of J lies in one J-class of T1, found from any element of J.
-    The second action is evaluated once per element of T1."""
-    lab = sg.kernel_labels(first(S, J))
-    reps = [lab.index(c) for c in range(max(lab) + 1)]
+def _sequential_labels(S, J, lab, second):
+    """Kernel of S -> T1 (the image under the first-action labels `lab`)
+    -> (second action of T1 on the image of J).  This staged composition
+    is what makes the generalized group mapping quotients collapse
+    correctly; the direct meet of the two action kernels is strictly
+    finer in general.  The image of J lies in one J-class of T1, found
+    from any element of J.  The second action is evaluated once per
+    element of T1."""
+    reps = sg.least_elements(lab)
     T1 = sg.FiniteSemigroup([[lab[S.table[x][y]] for y in reps] for x in reps],
                             check=False)
-    g1 = T1.green()
-    J1 = g1.j_classes[g1.j_class_of[lab[next(iter(J))]]]
+    j1_of = T1.green().j_class_of
+    j1 = j1_of[lab[next(iter(J))]]
+    # T1 is dropped after this call: build only the J-class read here
+    J1 = frozenset([c for c, j in enumerate(j1_of) if j == j1])
     lab2 = sg.kernel_labels(second(T1, J1))
     return tuple([lab2[c] for c in lab])
 
 
 _ACTIONS = {"K": _right_signatures, "D": _left_signatures,
             "KvG": _right_on_l_signatures, "DvG": _left_on_r_signatures}
-_STAGES = {"LI": (_right_signatures, _left_signatures),
-           "LG": (_right_on_l_signatures, _left_on_r_signatures)}
+# the first stage of LI (of LG) is the kernel of K (of K v G)
+_STAGES = {"LI": ("K", _left_signatures), "LG": ("KvG", _left_on_r_signatures)}
 
 
 def _mu_zj_labels(S, J, Z):
-    if Z in _ACTIONS:
-        return sg.kernel_labels(_ACTIONS[Z](S, J))
-    if Z in _STAGES:
-        return _sequential_labels(S, J, *_STAGES[Z])
-    raise UnsupportedZ(f"mu is not defined for Z = {Z} (use intersections)")
+    """The mu_{Z,J} kernel as a label vector, cached on S by (Z, J)."""
+    lab = S._derived.get((Z, J))
+    if lab is None:
+        if Z in _ACTIONS:
+            lab = sg.kernel_labels(_ACTIONS[Z](S, J))
+        elif Z in _STAGES:
+            first, second = _STAGES[Z]
+            lab = _sequential_labels(S, J, _mu_zj_labels(S, J, first), second)
+        else:
+            raise UnsupportedZ(f"mu is not defined for Z = {Z} (use intersections)")
+        S._derived[(Z, J)] = lab
+    return lab
 
 
 def mu_zj(S, j, Z):
@@ -101,8 +111,9 @@ def mu_z(S, Z):
 
 
 def mu_quotient(S, Z):
-    """S / mu_Z, cached on S.  The congruence is not kept: it refers back to
-    S, and that cycle would leave S to the cyclic garbage collector."""
+    """S / mu_Z, cached on S; element c of the quotient is the mu_Z class
+    with label c.  The congruence is not kept: it refers back to S, and
+    that cycle would leave S to the cyclic garbage collector."""
     Q = S._derived.get(Z)
     if Q is None:
         Q = S._derived[Z] = sg.quotient(S, mu_z(S, Z))

@@ -5,10 +5,12 @@ Everything downstream (Green's relations, quotients, duals, products,
 division search, the named catalog) works on this representation.
 Instances are immutable after construction; derived data (Green's
 structure, idempotents, cyclic index/period, canonical form, local
-monoids, and the mu quotients and membership verdicts of other modules)
-is computed once and cached on the instance it is derived from.
+monoids, and the mu labels, mu quotients and membership verdicts of
+other modules) is computed once, when first read, and cached on the
+instance it is derived from.
 """
 
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .errors import (
@@ -68,9 +70,11 @@ class FiniteSemigroup:
         self._idempotents = None
         self._index_period = {}
         self._canon = None
-        # derived semigroups and verdicts, keyed by e (an int) for local_monoid,
-        # Z (a str) for malcev.mu_quotient and V (a PseudovarietyDef) for
-        # pseudovarieties.member; the values hold no reference back to self
+        # derived semigroups, labels and verdicts, keyed by e (an int) for
+        # local_monoid, Z (a str) for malcev.mu_quotient, (Z, J) with J a
+        # J-class (a frozenset) for the mu_{Z,J} label vectors of malcev, and
+        # V (a PseudovarietyDef) for pseudovarieties.member; the values hold
+        # no reference back to self
         self._derived = {}
 
     def mul(self, x, y):
@@ -183,28 +187,43 @@ def from_table(table, labels=None, generators=None):
 class GreenData:
     """Green's relation data for one semigroup.
 
-    Partitions are tuples of frozensets; *_class_of maps an element index
-    to the id of its class, and every class is numbered in order of its
-    least element.  j_order holds the pairs (i, j) with J_i <= J_j in the
-    J-class order; regular_j is the set of J-class ids containing an
-    idempotent.  J-classes are computed as D-classes, D = R o L, which
-    equals J in a finite semigroup (Froidure & Pin, "Algorithms for
-    computing finite semigroups", 1997; East, Egri-Nagy, Mitchell &
-    Peresse, "Computing finite semigroups", JSC 2019).
+    *_class_of maps an element index to the id of its class, and every
+    class is numbered in order of its least element; regular_j is the set
+    of J-class ids containing an idempotent.  The partitions r_classes,
+    l_classes, j_classes and h_classes (tuples of frozensets, indexed by
+    class id) and the H labels h_class_of (H = R meet L) are derived from
+    the label vectors on first read and kept.  J-classes are computed as
+    D-classes, D = R o L, which equals J in a finite semigroup (Froidure &
+    Pin, "Algorithms for computing finite semigroups", 1997; East,
+    Egri-Nagy, Mitchell & Peresse, "Computing finite semigroups", JSC
+    2019).  The J-order is not kept: j_order(S) computes it.
     """
 
-    def __init__(self, r_classes, l_classes, j_classes, h_classes, j_order, regular_j,
-                 r_class_of, l_class_of, j_class_of, h_class_of):
-        self.r_classes = r_classes
-        self.l_classes = l_classes
-        self.j_classes = j_classes
-        self.h_classes = h_classes
-        self.j_order = j_order
-        self.regular_j = regular_j
+    def __init__(self, r_class_of, l_class_of, j_class_of, regular_j):
         self.r_class_of = r_class_of
         self.l_class_of = l_class_of
         self.j_class_of = j_class_of
-        self.h_class_of = h_class_of
+        self.regular_j = regular_j
+
+    @cached_property
+    def h_class_of(self):
+        return kernel_labels(zip(self.r_class_of, self.l_class_of))
+
+    @cached_property
+    def r_classes(self):
+        return classes_of(self.r_class_of)
+
+    @cached_property
+    def l_classes(self):
+        return classes_of(self.l_class_of)
+
+    @cached_property
+    def j_classes(self):
+        return classes_of(self.j_class_of)
+
+    @cached_property
+    def h_classes(self):
+        return classes_of(self.h_class_of)
 
 
 def kernel_labels(keys):
@@ -215,40 +234,62 @@ def kernel_labels(keys):
     return tuple([ids.setdefault(k, len(ids)) for k in keys])
 
 
-def _partition_by(keys):
-    """The kernel of x -> keys[x] as (classes, class_of): the one place that
-    groups elements into classes (Green's relations, every Congruence)."""
-    class_of = kernel_labels(keys)
-    classes = {}
-    for x, c in enumerate(class_of):
-        classes.setdefault(c, []).append(x)
-    return tuple(map(frozenset, classes.values())), class_of
+def classes_of(labels):
+    """The classes of a label vector as a tuple of frozensets, class c at
+    index c: the one place that groups elements into classes (Green's
+    relations, every Congruence)."""
+    classes = [[] for _ in range(max(labels) + 1)]
+    for x, c in enumerate(labels):
+        classes[c].append(x)
+    return tuple(map(frozenset, classes))
+
+
+def least_elements(labels):
+    """The least element of each class of a kernel_labels vector, in
+    label order: ids run in order of first occurrence, so the first
+    element carrying an id is the least of its class."""
+    reps = []
+    for x, c in enumerate(labels):
+        if c == len(reps):
+            reps.append(x)
+    return reps
 
 
 def _compute_green(S):
-    """R and L from the principal one-sided ideals xS^1 and S^1x; J as
+    """R and L from the principal one-sided ideals xS^1 and S^1x, and J as
     D = R o L, whose D-class of x is named by the least L-class id met by
     the R-class of x (an R-class meets every L-class of its D-class and
-    no other); and j_order from one ideal S^1 y S^1 per J-class, the
-    union of the right ideals zS^1 over z in S^1 y, y the least element
-    of the class.  O(n^2) apart from those unions."""
+    no other).  O(n^2)."""
     t = S.table
-    r_ideal = [frozenset((x, *row)) for x, row in enumerate(t)]
-    l_ideal = [frozenset((x, *col)) for x, col in enumerate(zip(*t))]
-    r_classes, r_of = _partition_by(r_ideal)
-    l_classes, l_of = _partition_by(l_ideal)
-    lead = [min(l_of[y] for y in c) for c in r_classes]
-    j_classes, j_of = _partition_by([lead[r] for r in r_of])
-    h_classes, h_of = _partition_by(list(zip(r_of, l_of)))
-
-    j_order = set()
-    for jj, cls in enumerate(j_classes):
-        below = frozenset().union(*(r_ideal[z] for z in l_ideal[min(cls)]))
-        j_order.update((j_of[z], jj) for z in below)
-
+    n = S.order
+    r_of = kernel_labels([frozenset((x, *row)) for x, row in enumerate(t)])
+    l_of = kernel_labels([frozenset((x, *col)) for x, col in enumerate(zip(*t))])
+    lead = [n] * n
+    for r, l in zip(r_of, l_of):
+        if l < lead[r]:
+            lead[r] = l
+    j_of = kernel_labels([lead[r] for r in r_of])
     regular_j = frozenset(j_of[e] for e in S.idempotents())
-    return GreenData(r_classes, l_classes, j_classes, h_classes,
-                     frozenset(j_order), regular_j, r_of, l_of, j_of, h_of)
+    return GreenData(r_of, l_of, j_of, regular_j)
+
+
+def j_order(S):
+    """The J-order of S as the pairs (i, j) of J-class ids with J_i <= J_j,
+    computed on each call from one ideal S^1 y S^1 per J-class: the union
+    of the right ideals zS^1 over z in S^1 y, y the least element of the
+    class."""
+    t = S.table
+    g = S.green()
+    j_of = g.j_class_of
+    cols = tuple(zip(*t))
+    order = set()
+    for jj, y in enumerate(least_elements(j_of)):
+        below = set()
+        for z in {y, *cols[y]}:
+            below.add(z)
+            below.update(t[z])
+        order.update((j_of[z], jj) for z in below)
+    return frozenset(order)
 
 
 def local_monoid(S, e):
@@ -288,42 +329,49 @@ def direct_product(S, T):
 
 class Congruence:
     """The kernel of x -> keys[x] on the elements of a semigroup, for any
-    hashable keys: x and y share a class when keys[x] == keys[y].  Classes
-    are numbered by least element.  Raises IncompatiblePartition when there
-    is not one key per element or, with check, when the partition is not
-    compatible with multiplication."""
+    hashable keys: x and y share a class when keys[x] == keys[y].  class_of
+    is the kernel_labels vector of the keys, so classes are numbered by
+    least element; the classes themselves, frozensets, are built on first
+    read and kept.  Raises IncompatiblePartition when there is not one key
+    per element or, with check, when the partition is not compatible with
+    multiplication."""
 
     def __init__(self, semigroup, keys, check=True):
         self.semigroup = semigroup
-        self.classes, self.class_of = _partition_by(keys)
+        self.class_of = kernel_labels(keys)
         if len(self.class_of) != semigroup.order:
             raise IncompatiblePartition(
                 f"{len(self.class_of)} keys for {semigroup.order} elements")
         if check and not self._compatible():
             raise IncompatiblePartition("partition is not compatible with multiplication")
 
+    @cached_property
+    def classes(self):
+        return classes_of(self.class_of)
+
     def _compatible(self):
         t = self.semigroup.table
         cof = self.class_of
-        for cls in self.classes:
-            rep = min(cls)
-            for x in cls:
-                for y in range(self.semigroup.order):
-                    if cof[t[x][y]] != cof[t[rep][y]] or cof[t[y][x]] != cof[t[y][rep]]:
-                        return False
+        reps = least_elements(cof)
+        for x, c in enumerate(cof):
+            rep = reps[c]
+            for y in range(self.semigroup.order):
+                if cof[t[x][y]] != cof[t[rep][y]] or cof[t[y][x]] != cof[t[y][rep]]:
+                    return False
         return True
 
+    # class_of determines the partition, and the partition determines it
     def __eq__(self, other):
-        return isinstance(other, Congruence) and self.classes == other.classes
+        return isinstance(other, Congruence) and self.class_of == other.class_of
 
     def __hash__(self):
-        return hash(self.classes)
+        return hash(self.class_of)
 
     def __len__(self):
-        return len(self.classes)
+        return max(self.class_of) + 1
 
     def is_identity(self):
-        return len(self.classes) == self.semigroup.order
+        return len(self) == self.semigroup.order
 
 
 def identity_congruence(S):
@@ -359,11 +407,12 @@ def congruence_from_pairs(S, pairs):
 
 
 def quotient(S, cong):
-    """The quotient semigroup S/cong (classes multiply via representatives)."""
+    """The quotient semigroup S/cong: class c is element c, and classes
+    multiply via their least elements."""
     if cong.semigroup is not S and cong.semigroup.table != S.table:
         raise IncompatiblePartition("congruence belongs to a different semigroup")
-    reps = [min(c) for c in cong.classes]
     cof = cong.class_of
+    reps = least_elements(cof)
     table = [[cof[S.table[x][y]] for y in reps] for x in reps]
     labels = None
     if S.labels:

@@ -35,10 +35,17 @@ def test_ident_check(capsys, b2_file):
 
 
 def test_green(capsys, b2_file):
+    # the whole output, pinned: classes and H are built on read
     assert main(["green", "--input", b2_file]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert sorted(map(len, out["j_classes"])) == [1, 4]
-    assert out["idempotents"] == [2, 3, 4]
+    assert json.loads(capsys.readouterr().out) == {
+        "order": 5,
+        "r_classes": [[0, 2], [1, 3], [4]],
+        "l_classes": [[0, 3], [1, 2], [4]],
+        "j_classes": [[0, 1, 2, 3], [4]],
+        "h_classes": [[0], [1], [2], [3], [4]],
+        "regular_j": [0, 1],
+        "idempotents": [2, 3, 4],
+    }
 
 
 def test_malcev(capsys, lz2_file, b2_file):
@@ -47,6 +54,21 @@ def test_malcev(capsys, lz2_file, b2_file):
     assert out["member"] is True and out["mu_quotient_order"] == 1
     assert "witness" in out
     assert main(["malcev", "--z", "LG", "--v", "Sl", "--input", b2_file]) == 1
+
+
+def test_malcev_past_the_witness_budget_reports_the_verdict(capsys, tmp_path):
+    # left_zero(11) is in K m Sl, but the congruence search behind the
+    # witness stops at order CONGRUENCE_MAX_ORDER = 10
+    path = tmp_path / "lz11.json"
+    path.write_text(json.dumps(sg.catalog("left_zero", 11).to_json_dict()))
+    assert main(["malcev", "--z", "K", "--v", "Sl", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"member": True, "mu_quotient_order": 1,
+                   "witness_skipped": "budget exceeded: congruence search on "
+                                      "order 11 exceeds 10"}
+    assert main(["malcev", "--z", "D", "--v", "Sl", "--input", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"member": False,
+                                                    "mu_quotient_order": 11}
 
 
 def test_phi(capsys):

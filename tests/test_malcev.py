@@ -412,3 +412,21 @@ def test_mu_matches_the_congruence_reference():
                 got, want = mv.mu_zj(S, j, Z), _ref_mu_zj(S, _RefView(S, j), Z)
                 assert (got.classes, got.class_of) == \
                     (want.classes, want.class_of), (S.table, Z, j)
+
+
+def test_per_j_labels_do_not_depend_on_call_order():
+    # the mu_{Z,J} labels are cached on S, and LI and LG read the cached
+    # labels of K and K v G as their first stage: forward, reverse, and
+    # the staged Z before their first stages must all agree
+    from test_semigroups import product_tables
+    zs = ("K", "D", "KvG", "DvG", "LI", "LG")
+    orders = [zs, zs[::-1], ("LI", "LG", "K", "KvG", "D", "DvG")]
+    for S in [*all_semigroups_upto(4), *product_tables(2, 60)]:
+        results = []
+        for order in orders:
+            U = _fresh(S)
+            results.append({Z: (mv.mu_z(U, Z).classes,
+                                [mv.mu_zj(U, j, Z).classes for j in regular_js(U)],
+                                mv.mu_quotient(U, Z).table)
+                            for Z in order})
+        assert results[0] == results[1] == results[2], S.table

@@ -1,3 +1,6 @@
+from functools import cached_property
+from types import SimpleNamespace
+
 import pytest
 
 from finsemi import semigroups as sg
@@ -147,11 +150,12 @@ def test_dual_b2_self_anti_isomorphic():
 def test_j_order():
     B2 = sg.catalog("B2")
     g = B2.green()
+    order = sg.j_order(B2)
     zero_j = g.j_class_of[4]
     big_j = g.j_class_of[0]
-    assert (zero_j, big_j) in g.j_order  # {0} lies below the regular class
-    assert (big_j, zero_j) not in g.j_order
-    assert all((j, j) in g.j_order for j in range(len(g.j_classes)))
+    assert (zero_j, big_j) in order  # {0} lies below the regular class
+    assert (big_j, zero_j) not in order
+    assert all((j, j) in order for j in range(len(g.j_classes)))
 
 
 def test_green_of_dual_swaps_r_and_l():
@@ -423,9 +427,24 @@ def catalog_semigroups():
     return out
 
 
+def _ref_partition(keys):
+    """(classes, class_of) of the kernel of x -> keys[x], the classes
+    sorted by least element and class_of numbering them."""
+    groups = {}
+    for x, k in enumerate(keys):
+        groups.setdefault(k, set()).add(x)
+    classes = tuple(sorted(map(frozenset, groups.values()), key=min))
+    class_of = [None] * len(keys)
+    for c, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = c
+    return classes, tuple(class_of)
+
+
 def _green_by_two_sided_ideals(S):
     """The reference Green computation: R, L and J by their principal
-    ideals xS^1, S^1x and S^1xS^1, each built for every element."""
+    ideals xS^1, S^1x and S^1xS^1, each built for every element, with
+    every GreenData field and the J-order."""
     n = S.order
     t = S.table
     rng = range(n)
@@ -442,10 +461,10 @@ def _green_by_two_sided_ideals(S):
             two.update(t[xs][u] for u in rng)
         j_ideal.append(frozenset(two))
 
-    r_classes, r_of = sg._partition_by(r_ideal)
-    l_classes, l_of = sg._partition_by(l_ideal)
-    j_classes, j_of = sg._partition_by(j_ideal)
-    h_classes, h_of = sg._partition_by(list(zip(r_of, l_of)))
+    r_classes, r_of = _ref_partition(r_ideal)
+    l_classes, l_of = _ref_partition(l_ideal)
+    j_classes, j_of = _ref_partition(j_ideal)
+    h_classes, h_of = _ref_partition(list(zip(r_of, l_of)))
 
     j_order = set()
     for ji, ci in enumerate(j_classes):
@@ -455,8 +474,10 @@ def _green_by_two_sided_ideals(S):
                 j_order.add((ji, jj))
 
     regular_j = frozenset(j_of[e] for e in S.idempotents())
-    return sg.GreenData(r_classes, l_classes, j_classes, h_classes,
-                        frozenset(j_order), regular_j, r_of, l_of, j_of, h_of)
+    return SimpleNamespace(
+        r_classes=r_classes, l_classes=l_classes, j_classes=j_classes,
+        h_classes=h_classes, j_order=frozenset(j_order), regular_j=regular_j,
+        r_class_of=r_of, l_class_of=l_of, j_class_of=j_of, h_class_of=h_of)
 
 
 def product_tables(seed, count, orders=range(5, 17)):
@@ -496,13 +517,23 @@ def test_green_invariants():
                     assert rcls & S.idempotents(), S.table
 
 
+GREEN_FIELDS = ("r_classes", "l_classes", "j_classes", "h_classes", "regular_j",
+                "r_class_of", "l_class_of", "j_class_of", "h_class_of")
+
+
 def test_green_matches_the_two_sided_ideal_reference():
-    # every field equal, class numbering and j_order included
+    # every field equal, class numbering and the fields derived on read
+    # included, and the J-order of j_order
     from finsemi.corpus import all_semigroups_upto
     for S in [*all_semigroups_upto(5), *catalog_semigroups(),
               *product_tables(1, 1500)]:
-        assert vars(sg._compute_green(S)) == vars(_green_by_two_sided_ideals(S)), \
-            S.table
+        g, want = sg._compute_green(S), _green_by_two_sided_ideals(S)
+        derived = {name for name, v in vars(sg.GreenData).items()
+                   if isinstance(v, cached_property)}
+        assert set(vars(g)) | derived == set(GREEN_FIELDS)
+        assert {f: getattr(g, f) for f in GREEN_FIELDS} == \
+            {f: getattr(want, f) for f in GREEN_FIELDS}, S.table
+        assert sg.j_order(S) == want.j_order, S.table
 
 
 @pytest.mark.parametrize("name, v", [("free_d", "D"), ("free_k", "K"), ("free_n", "N")])
