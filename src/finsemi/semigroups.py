@@ -10,6 +10,7 @@ other modules) is computed once, when first read, and cached on the
 instance it is derived from.
 """
 
+import math
 from functools import cached_property
 from itertools import combinations, permutations, product
 
@@ -157,6 +158,15 @@ class FiniteSemigroup:
             n += p
         return self.power(x, n + offset)
 
+    def prime_omega_power(self, x, p, offset=0):
+        """x^(p^omega+offset): the limit of x^(p^(n!)+offset), p prime."""
+        i, per = self.index_period(x)
+        residue = _stable_prime_residue(p, per)
+        n = residue if residue > 0 else per
+        while n < i + abs(offset) + per:
+            n += per
+        return self.power(x, n + offset)
+
     def green(self):
         if self._green is None:
             self._green = _compute_green(self)
@@ -177,6 +187,19 @@ class FiniteSemigroup:
         if "order" in d and d["order"] != sgp.order:
             raise OutOfRangeEntry("declared order does not match table")
         return sgp
+
+
+def _stable_prime_residue(p, modulus):
+    """lim p^(n!) mod modulus; constant once n >= modulus."""
+    if modulus == 1:
+        return 0
+    n = max(4, modulus)
+    r1 = pow(p, math.factorial(n), modulus)
+    r2 = pow(p, math.factorial(n + 1), modulus)
+    while r1 != r2:  # defensive; the bound above already guarantees equality
+        n += 1
+        r1, r2 = r2, pow(p, math.factorial(n + 1), modulus)
+    return r1
 
 
 def from_table(table, labels=None, generators=None):

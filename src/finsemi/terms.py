@@ -11,12 +11,12 @@ strings or x1, x2, ...; the window calculus reuses the same machinery
 with tuples of letters as opaque block symbols.
 """
 
-import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
-from .errors import TermSyntaxError, UnboundLetter
+from .errors import BudgetExceeded, TermSyntaxError, UnboundLetter
 
 
 def _is_prime(p):
@@ -39,9 +39,10 @@ class Exponent:
     offset: int
 
     def __post_init__(self):
-        for name in ("p", "offset"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"exponent {name} must be an integer, got a bool")
+        for name, allowed in (("p", (int, type(None))), ("offset", int)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"exponent {name} must be an integer, got {value!r}")
         if self.kind not in ("omega", "primeomega"):
             raise ValueError(f"bad exponent kind {self.kind!r}")
         if self.kind == "primeomega" and not (self.p and _is_prime(self.p)):
@@ -521,21 +522,12 @@ def left_contour(t):
 # Evaluation
 
 
-def _stable_prime_residue(p, modulus):
-    """lim p^(n!) mod modulus; constant once n >= modulus."""
-    if modulus == 1:
-        return 0
-    n = max(4, modulus)
-    r1 = pow(p, math.factorial(n), modulus)
-    r2 = pow(p, math.factorial(n + 1), modulus)
-    while r1 != r2:  # defensive; the bound above already guarantees equality
-        n += 1
-        r1, r2 = r2, pow(p, math.factorial(n + 1), modulus)
-    return r1
-
-
 def evaluate(t, S, assignment):
-    """Value of t in S under a letter -> element assignment."""
+    """Value of t in S under a letter -> element assignment.
+
+    Every step is a read of `S.table` or one of the power methods of S, so
+    over the stand-in `_SourceSemigroup` the same walk writes the Python
+    expression of the value instead (see `_compiled_check`)."""
     if isinstance(t, Letter):
         try:
             return assignment[t.symbol]
@@ -552,12 +544,7 @@ def evaluate(t, S, assignment):
         return S.power(x, e)
     if e.kind == "omega":
         return S.omega_power(x, e.offset)
-    i, per = S.index_period(x)
-    residue = _stable_prime_residue(e.p, per)
-    n = residue if residue > 0 else per
-    while n < i + abs(e.offset) + per:
-        n += per
-    return S.power(x, n + e.offset)
+    return S.prime_omega_power(x, e.p, e.offset)
 
 
 @dataclass(frozen=True)
@@ -588,13 +575,106 @@ def parse_identity(text):
     return pseudo_identity(parse_term(lhs_text), parse_term(rhs_text))
 
 
-def satisfies(S, pi, witness=False):
-    """Whether S |= pi, checking all |S|^|alphabet| assignments.
+# Past this many characters an operand of the generated code is bound to a
+# temporary first.  Each nesting level of a generated expression costs at
+# least 3 characters, so nothing nests deeper than 100 levels, well inside
+# the 200 that Python's parser accepts.
+_MAX_INLINE = 300
 
-    With witness=True, returns (bool, assignment or None)."""
+# |S|^k assignments that satisfies may check for one identity in k letters.
+SATISFIES_BUDGET = 10**7
+
+
+def _int_text(n):
+    """The literal of an int; anything else raises TypeError."""
+    return str(operator.index(n))
+
+
+class _SourceRow:
+    __slots__ = ("source", "x")
+
+    def __init__(self, source, x):
+        self.source = source
+        self.x = x
+
+    def __getitem__(self, y):
+        return f"t[{self.x}][{self.source.operand(y)}]"
+
+
+class _SourceSemigroup:
+    """A stand-in semigroup whose values are Python expressions over the
+    Cayley table `t`, a semigroup `S` and the letter values v0, v1, ...:
+    `evaluate` over it writes the code that computes a term's value.
+    Only those generated names, the method names below and int literals
+    enter the text.  An operand longer than _MAX_INLINE characters is
+    bound to a temporary w0, w1, ... by a statement kept in `lines`."""
+
+    def __init__(self):
+        self.table = self
+        self.lines = []
+
+    def operand(self, text):
+        if len(text) <= _MAX_INLINE:
+            return text
+        name = f"w{len(self.lines)}"
+        self.lines.append(f"{name} = {text}")
+        return name
+
+    def __getitem__(self, x):  # a row of the table
+        return _SourceRow(self, self.operand(x))
+
+    def power(self, x, n):
+        return f"S.power({self.operand(x)}, {_int_text(n)})"
+
+    def omega_power(self, x, offset=0):
+        return f"S.omega_power({self.operand(x)}, {_int_text(offset)})"
+
+    def prime_omega_power(self, x, p, offset=0):
+        return (f"S.prime_omega_power({self.operand(x)}, {_int_text(p)}, "
+                f"{_int_text(offset)})")
+
+
+@cache
+def _compiled_check(pi):
+    """The assignment loop of `satisfies` for pi, compiled: a function of
+    S that returns the first assignment (in `itertools.product` order over
+    pi.alphabet) under which the two sides differ, as a tuple of values,
+    or None.  Letter i of the alphabet is the name v<i>; a repeated letter
+    takes its last position, as in `dict(zip(alphabet, values))`."""
+    k = len(pi.alphabet)
+    names = {sym: f"v{i}" for i, sym in enumerate(pi.alphabet)}
+    source = _SourceSemigroup()
+    lhs = evaluate(pi.lhs, source, names)
+    rhs = evaluate(pi.rhs, source, names)
+    values = "".join(f"v{i}, " for i in range(k))
+    body = "".join(f"        {line}\n" for line in source.lines)
+    code = (f"def check(S):\n"
+            f"    t = S.table\n"
+            f"    for {values}in product(range(S.order), repeat={k}):\n"
+            f"{body}"
+            f"        if {lhs} != {rhs}:\n"
+            f"            return ({values})\n"
+            f"    return None\n")
+    namespace = {"product": iproduct}
+    exec(compile(code, "<satisfies>", "exec"), namespace)
+    return namespace["check"]
+
+
+def satisfies(S, pi, witness=False):
+    """Whether S |= pi, checking all |S|^|alphabet| assignments in
+    `itertools.product` order.  pi is compiled once into a loop over the
+    Cayley table (`_compiled_check`), so one call runs generated code
+    instead of walking the terms for every assignment.
+
+    With witness=True, returns (bool, assignment or None), the assignment
+    being the first failing one as a letter -> element dict.  Raises
+    BudgetExceeded, before compiling, past SATISFIES_BUDGET assignments."""
     syms = pi.alphabet
-    for values in iproduct(range(S.order), repeat=len(syms)):
-        asg = dict(zip(syms, values))
-        if evaluate(pi.lhs, S, asg) != evaluate(pi.rhs, S, asg):
-            return (False, asg) if witness else False
-    return (True, None) if witness else True
+    assignments = S.order ** len(syms)
+    if assignments > SATISFIES_BUDGET:
+        raise BudgetExceeded(f"satisfies search |S|^{len(syms)} = {assignments} "
+                             f"exceeds {SATISFIES_BUDGET}")
+    values = _compiled_check(pi)(S)
+    if values is None:
+        return (True, None) if witness else True
+    return (False, dict(zip(syms, values))) if witness else False

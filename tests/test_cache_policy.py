@@ -5,7 +5,9 @@ the instance and dies with it.  The one hand-rolled memo is
 pseudovarieties._absorb_memo, whose in-progress sentinel a
 functools.cache cannot express.  The memoized term maps (canon,
 dk.phi_k_term, factorization.lbf_term and factorization.term_signature)
-give the same results whatever order they are called in."""
+and the compiled identity checkers of terms._compiled_check, keyed by
+the pseudoidentity, give the same results whatever order they are
+called in."""
 
 import ast
 import gc
@@ -98,6 +100,25 @@ def test_canon_does_not_depend_on_call_order():
         for name, fn, clear in maps:
             forward, backward = _forward_and_backward(fn, clear, terms)
             assert forward == backward, (seed, name)
+
+
+def test_satisfies_does_not_depend_on_call_order():
+    corpus = all_semigroups_upto(4)
+    rng = random.Random(3)
+    identities = [pi for V in pv.CATALOG.values() for pi in V.basis]
+    # the same sides over a reordered alphabet: another search order, so
+    # another first witness
+    identities += [tm.pseudo_identity(pi.lhs, pi.rhs, pi.alphabet[::-1])
+                   for pi in identities if len(pi.alphabet) > 1]
+    identities += [tm.pseudo_identity(suites._random_term(rng, "ab"),
+                                      suites._random_term(rng, "ab"))
+                   for _ in range(40)]
+    calls = [(S, pi) for pi in identities for S in corpus[::3]]
+    forward, backward = _forward_and_backward(
+        lambda call: tm.satisfies(*call, witness=True),
+        tm._compiled_check.cache_clear, calls)
+    assert forward == backward
+    assert {ok for ok, _ in forward} == {True, False}
 
 
 def test_the_corpus_is_shared():

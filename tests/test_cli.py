@@ -150,6 +150,18 @@ def test_budget_exit_code(capsys, tmp_path):
     assert main(["enumerate", "--max-order", "6"]) == 3
 
 
+def test_ident_check_budget_exit_code(capsys, tmp_path):
+    # 8^12 assignments of a 12-letter identity on an order-8 semigroup
+    # exceed the satisfies budget: refused at once, not walked
+    path = tmp_path / "c8.json"
+    path.write_text(json.dumps(sg.catalog("cyclic", 8).to_json_dict()))
+    word = " ".join(f"x{i}" for i in range(1, 13))
+    assert main(["ident-check", "--input", str(path),
+                 "--id", f"{word} = {word}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exceeded" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-paper", "--suite", "malcev_equalities", "--max-order", "0"],
     ["verify-paper", "--suite", "malcev_equalities", "--max-order", "-2"],

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -9,10 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finsemi import dk
+from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
 from finsemi import suites
 from finsemi import terms as tm
-from finsemi.errors import TermSyntaxError, UnboundLetter
+from finsemi.corpus import all_semigroups_upto
+from finsemi.errors import BudgetExceeded, TermSyntaxError, UnboundLetter
 
 
 def T(text):
@@ -44,7 +48,7 @@ def test_parse_rejects_bad_powers():
 
 def test_boolean_exponents_are_rejected():
     a = tm.Letter("a")
-    for flag in (True, False):
+    for flag in (True, False, 1.5, "1", None):
         for build in (lambda: tm.power(a, flag), lambda: tm.Power(a, flag),
                       lambda: tm.omega(flag), lambda: tm.prime_omega(2, flag),
                       lambda: tm.Exponent("primeomega", flag, 0)):
@@ -159,6 +163,96 @@ def test_satisfies_examples():
     assert tm.satisfies(lz2, pi)
     refl = tm.parse_identity("x1^w x2 = x1^w x2")
     assert tm.satisfies(U1, refl)
+
+
+def _reference_satisfies(S, pi):
+    """The uncompiled search, kept as the oracle of the compiled one: every
+    assignment in itertools.product order, both sides walked by evaluate."""
+    syms = pi.alphabet
+    for values in itertools.product(range(S.order), repeat=len(syms)):
+        asg = dict(zip(syms, values))
+        if tm.evaluate(pi.lhs, S, asg) != tm.evaluate(pi.rhs, S, asg):
+            return (False, asg)
+    return (True, None)
+
+
+def _assert_matches_reference(models, identities):
+    """Same verdict and the same witness, letters in the same order."""
+    for pi in identities:
+        for S in models:
+            ok, asg = tm.satisfies(S, pi, witness=True)
+            ref_ok, ref_asg = _reference_satisfies(S, pi)
+            assert ok is ref_ok and asg == ref_asg, (str(pi), S.table)
+            assert asg is None or list(asg) == list(ref_asg)
+            assert tm.satisfies(S, pi) is ok
+
+
+def test_satisfies_matches_reference_on_catalog_bases():
+    models = list(all_semigroups_upto(4)) + list(pv._fast_bank())
+    bases = [pi for V in pv.CATALOG.values() for pi in V.basis]
+    assert len(bases) > 40
+    _assert_matches_reference(models, bases)
+
+
+def test_satisfies_matches_reference_on_random_term_pairs():
+    # the lemma69_terms generator: a term against a sound variant of it
+    # (mostly satisfied) and against an independent term (mostly refuted)
+    rng = random.Random(69)
+    identities = []
+    for _ in range(1000):
+        t = suites._random_term(rng, "ab")
+        identities.append(tm.pseudo_identity(t, suites._sound_variant(rng, t)))
+        identities.append(tm.pseudo_identity(t, suites._random_term(rng, "ab")))
+    _assert_matches_reference(pv._fast_bank(), identities)
+
+
+def test_satisfies_matches_reference_on_unusual_letters():
+    models = [S for S in pv._fast_bank() if S.order <= 4]
+    # window blocks: tuple letters of a lifted term
+    rng = random.Random(4)
+    lifted = []
+    while len(lifted) < 30:
+        t = suites._random_term(rng, "ab")
+        u, v = dk.phi_k_term(t, 1), dk.phi_k_term(suites._sound_variant(rng, t), 1)
+        if u is not None and v is not None and len(tm.content(u) | tm.content(v)) <= 3:
+            lifted.append(tm.pseudo_identity(u, v))
+    assert all(isinstance(a, tuple) for pi in lifted for a in pi.alphabet)
+    # symbols spelled like the names and code of the compiled checker
+    L = tm.Letter
+    odd = [L("v0"), L("t"), L("S"), L("x); import os; (")]
+    spelled = [
+        tm.pseudo_identity(tm.concat(odd[0], odd[1]), tm.concat(odd[1], odd[0])),
+        tm.pseudo_identity(tm.power(tm.concat(odd[2], odd[3]), tm.OMEGA),
+                           tm.concat(odd[3], odd[2], odd[0])),
+        tm.pseudo_identity(tm.concat(odd[3], tm.power(odd[1], tm.prime_omega(2, 1))),
+                           tm.power(odd[3], 3)),
+        tm.pseudo_identity(odd[0], odd[0], ("S", "v0", "t")),  # unused letters
+        tm.pseudo_identity(tm.concat(odd[0], odd[1]), odd[1], ("v0", "t", "v0")),
+    ]
+    # long and deep terms, whose generated operands are bound to temporaries
+    deep = tm.Letter("a")
+    for _ in range(120):
+        deep = tm.power(tm.concat(deep, tm.Letter("b")), tm.omega(1))
+    long_ = [
+        tm.pseudo_identity(tm.word_term("ab" * 150), tm.word_term("ba" * 150)),
+        tm.pseudo_identity(deep, tm.concat(tm.Letter("a"), deep)),
+    ]
+    _assert_matches_reference(models, lifted + spelled + long_)
+
+
+def test_satisfies_budget(monkeypatch):
+    B2 = sg.catalog("B2")  # order 5
+    pi = tm.parse_identity("x1 x2 = x2 x1")
+    monkeypatch.setattr(tm, "SATISFIES_BUDGET", 25)
+    assert tm.satisfies(B2, pi) is False  # 5^2 = 25 assignments: within budget
+    monkeypatch.setattr(tm, "SATISFIES_BUDGET", 24)
+    pi3 = tm.parse_identity("x1 x2 x3 = x3 x2 x1")
+    misses = tm._compiled_check.cache_info().misses
+    with pytest.raises(BudgetExceeded):
+        tm.satisfies(B2, pi3)
+    with pytest.raises(BudgetExceeded):
+        tm.satisfies(B2, pi3, witness=True)
+    assert tm._compiled_check.cache_info().misses == misses  # nothing compiled
 
 
 def test_substitute():
