@@ -61,8 +61,14 @@ def _windows(w, k):
     return tuple(w[i:i + k + 1] for i in range(len(w) - k))
 
 
+def _check_k(k):
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 def phi_k(u, k):
     """Window word of a plain word: empty when |u| <= k."""
+    _check_k(k)
     return WindowWord(k, _windows(tm._as_word(u), k))
 
 
@@ -110,6 +116,7 @@ def phi_k_term(t, k):
     """The window image of an omega-term, as a term over block letters
     (None for the empty image).  Blocks are tuples of base letters.
     Memoized by (t, k); an UnsupportedShape is raised again on each call."""
+    _check_k(k)
     w = tm.is_finite_word(t)
     if w is not None:
         return _word_image(w, k)
@@ -118,7 +125,7 @@ def phi_k_term(t, k):
         suffix = tm.tau_k(t.parts[0], k)
         for f in t.parts[1:]:
             acc = _cat(acc, _phi_prefixed(suffix, f, k))
-            suffix = tm.tau_k(tm.concat(tm.word_term(suffix), f), k)
+            suffix = tm.tau_k(tm.concat(*map(tm.Letter, suffix), f), k)
         return acc
     if isinstance(t, tm.Power):
         base, exp = t.base, t.exp
@@ -140,7 +147,7 @@ def phi_k_term(t, k):
                 pieces.append(tm.word_term(wbase * r))
             return phi_k_term(tm.concat(*pieces), k)
         # base of length >= k+1: phi(u^e) = phi(u b_k(u))^(e-1) . phi(u)
-        core = phi_k_term(tm.concat(base, tm.word_term(tm.beta_k(base, k))), k)
+        core = phi_k_term(tm.concat(base, *map(tm.Letter, tm.beta_k(base, k))), k)
         tail = phi_k_term(base, k)
         return _cat(tm.power(core, tm._exp_minus_one(exp)), tail)
     # a single letter has an empty image for k >= 1
@@ -181,6 +188,7 @@ def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
     like a raw D_j) the call raises unless `require_nontrivial_monoid`
     is disabled; the verdict is then still the sound triple-criterion
     comparison (Proved implies V * D_k |= u = v)."""
+    _check_k(k)
     if isinstance(V, str):
         V = get_pseudovariety(V)
     if require_nontrivial_monoid and not _criterion_characterizes(V):

@@ -1,15 +1,15 @@
 """Semilocal-theory congruences and Mal'cev product membership.
 
-For a regular J-class J of S, the action kernels on J^0 (right action,
-right action on L-classes, two-sided, and duals) realize the canonical
-quotients onto right mapping / right letter mapping / generalized group
-mapping semigroups and their variants.  Each kernel is a label vector
-over S, read from J as a class of S's Green data and cached on S by
-(Z, J), so that LI and LG take the cached kernels of K and K v G as
-their first stage.  The mu_Z congruence is the kernel of the tuple of
-labels over all regular J-classes, and its quotient decides membership
-in Z m V for Z in the eight-element family handled here; N and N v G
-route through intersections of the K/D (resp. K v G / D v G) sides.
+For a regular J-class J of S, the kernel of S's action on J^0, on its
+elements (K) or on its L-classes (K v G), is the canonical map onto the
+right (letter) mapping image of J; on the transposed table the same two
+actions give the duals D and D v G.  LI and LG stage K (K v G) and then D
+(D v G) on the first-stage image.  Each kernel is a label vector read from
+a Cayley table and J alone, and cached on S by (Z, J).  The mu_Z
+congruence is the kernel of the tuple of labels over all regular
+J-classes, and its quotient decides membership in Z m V for Z in the
+eight-element family handled here; N and N v G route through
+intersections of the K/D (resp. K v G / D v G) sides.
 """
 
 from . import semigroups as sg
@@ -20,71 +20,60 @@ from .pseudovarieties import get_pseudovariety, member, word_problem_equal
 V_SET = ("LI", "K", "D", "N", "LG", "KvG", "DvG", "NvG")
 
 
-# Each *_signatures function takes a J-class J of S, a frozenset from its
-# Green data, and yields for every element s of S in turn the action of s
-# on J^0 as a tuple: one entry per element (or per L- or R-class) of J,
-# None where the product leaves J and so is the zero.  Only the kernel of
-# s -> signature is used, so the order of the entries does not matter.
+# Each action takes a Cayley table t and a J-class J (a frozenset) of the
+# semigroup t multiplies, and yields for every element s the right action
+# of s on J^0: a tuple with one entry per element, or per L-class, of J,
+# None where the product leaves J.  Only the kernel of s -> tuple is read.
+# On the transposed table t[x][s] is s x and column x is the row x S, so
+# the same routines give the left actions, on elements and on R-classes.
 
 
-def _right_signatures(S, J):
-    return zip(*([v if v in J else None for v in S.table[x]] for x in J))
+def _on_elements(t, J):
+    return zip(*([v if v in J else None for v in t[x]] for x in J))
 
 
-def _left_signatures(S, J):
-    return zip(*([row[x] if row[x] in J else None for row in S.table] for x in J))
+def _on_classes(t, J):
+    # the L-class of x in J is S^1 x meet J (stability), from column x, named
+    # by its least element; L is a right congruence, so the action descends
+    l_of = {x: min(J.intersection([x, *[row[x] for row in t]])) for x in J}
+    return zip(*([l_of.get(v) for v in t[x]] for x in set(l_of.values())))
 
 
-def _right_on_l_signatures(S, J):
-    # L is a right congruence, so the action descends to L-classes of J
-    # and any element of a class stands for it
-    l_of = S.green().l_class_of
-    reps = {l_of[x]: x for x in J}.values()
-    return zip(*([l_of[v] if v in J else None for v in S.table[x]] for x in reps))
+# Z -> (action, whether it acts on the transposed table); LI and LG -> stages
+_ACTIONS = {"K": (_on_elements, False), "D": (_on_elements, True),
+            "KvG": (_on_classes, False), "DvG": (_on_classes, True)}
+_STAGES = {"LI": ("K", "D"), "LG": ("KvG", "DvG")}
 
 
-def _left_on_r_signatures(S, J):
-    # dually, R is a left congruence
-    r_of = S.green().r_class_of
-    reps = {r_of[x]: x for x in J}.values()
-    return zip(*([r_of[row[x]] if row[x] in J else None for row in S.table]
-                 for x in reps))
-
-
-def _sequential_labels(S, J, lab, second):
-    """Kernel of S -> T1 (the image under the first-action labels `lab`)
-    -> (second action of T1 on the image of J).  This staged composition
-    is what makes the generalized group mapping quotients collapse
-    correctly; the direct meet of the two action kernels is strictly
-    finer in general.  The image of J lies in one J-class of T1, found
-    from any element of J.  The second action is evaluated once per
-    element of T1."""
-    reps = sg.least_elements(lab)
-    T1 = sg.FiniteSemigroup([[lab[S.table[x][y]] for y in reps] for x in reps],
-                            check=False)
-    j1_of = T1.green().j_class_of
-    j1 = j1_of[lab[next(iter(J))]]
-    # T1 is dropped after this call: build only the J-class read here
-    J1 = frozenset([c for c, j in enumerate(j1_of) if j == j1])
-    lab2 = sg.kernel_labels(second(T1, J1))
-    return tuple([lab2[c] for c in lab])
-
-
-_ACTIONS = {"K": _right_signatures, "D": _left_signatures,
-            "KvG": _right_on_l_signatures, "DvG": _left_on_r_signatures}
-# the first stage of LI (of LG) is the kernel of K (of K v G)
-_STAGES = {"LI": ("K", _left_signatures), "LG": ("KvG", _left_on_r_signatures)}
+def _action_labels(t, J, Z):
+    action, left = _ACTIONS[Z]
+    return sg.kernel_labels(action(list(zip(*t)) if left else t, J))
 
 
 def _mu_zj_labels(S, J, Z):
-    """The mu_{Z,J} kernel as a label vector, cached on S by (Z, J)."""
+    """The mu_{Z,J} kernel as a label vector, cached on S by (Z, J).
+
+    LI (LG) is staged: phi: S -> T1, the kernel of K (K v G), then the
+    action D (D v G) of T1 on J1 = phi(J); the meet of the two kernels is
+    finer in general.  J1 is a J-class of T1, which D v G needs to key its
+    R-classes by stability.  Proof: T1 acts on J^0 (on the L-classes of J
+    and 0) through phi, fixing 0, as phi is that action's kernel and no
+    product that leaves J comes back.  phi(J) lies in the J-class of
+    phi(e), e an idempotent of J.  Conversely, if t J phi(e), then t =
+    phi(ced) and phi(e) = phi(a) t phi(b) for some a, b, c, d in S^1.  As
+    phi(e) moves e (L_e) to itself, not to 0, y = ea is in J and y t = y ced
+    is not 0.  So J <=_J ced <=_J e, ced is in J and t = phi(ced)."""
     lab = S._derived.get((Z, J))
     if lab is None:
         if Z in _ACTIONS:
-            lab = sg.kernel_labels(_ACTIONS[Z](S, J))
+            lab = _action_labels(S.table, J, Z)
         elif Z in _STAGES:
             first, second = _STAGES[Z]
-            lab = _sequential_labels(S, J, _mu_zj_labels(S, J, first), second)
+            lab = _mu_zj_labels(S, J, first)
+            reps = sg.least_elements(lab)
+            t1 = [[lab[S.table[x][y]] for y in reps] for x in reps]
+            lab2 = _action_labels(t1, frozenset([lab[x] for x in J]), second)
+            lab = tuple([lab2[c] for c in lab])
         else:
             raise UnsupportedZ(f"mu is not defined for Z = {Z} (use intersections)")
         S._derived[(Z, J)] = lab
@@ -159,19 +148,20 @@ def locality_commutation_check(S, Z, V):
 def ladder_member(S, family, m):
     """The R_m / L_m ladder: R_1 = L_1 = Sl, R_{m+1} = K m L_m,
     L_{m+1} = D m R_m."""
+    if family not in ("R_m", "L_m"):
+        raise ValueError("family must be 'R_m' or 'L_m'")
     if m < 1:
         raise ValueError("ladder starts at m = 1")
     if m == 1:
         return member(S, "Sl")
-    if family == "R_m":
-        return malcev_member_with(S, "K", lambda T: ladder_member(T, "L_m", m - 1))
-    if family == "L_m":
-        return malcev_member_with(S, "D", lambda T: ladder_member(T, "R_m", m - 1))
-    raise ValueError("family must be 'R_m' or 'L_m'")
+    Z, other = ("K", "L_m") if family == "R_m" else ("D", "R_m")
+    return malcev_member_with(S, Z, lambda T: ladder_member(T, other, m - 1))
 
 
 # ---------------------------------------------------------------------------
 # Pin-Weil refutation and witness search
+
+PINWEIL_BUDGET = 4000  # substituted basis identities tried per search
 
 
 def _substitution_pool():
@@ -183,13 +173,13 @@ def _substitution_pool():
     return [tm.parse_term(t) for t in texts]
 
 
-def pinweil_refute(S, z_basis, V, budget=4000):
+def pinweil_refute(S, z_basis, V):
     """Search for a Pin-Weil refutation of S in Z m V.
 
     Substitutions phi with V |= phi(x1) = phi(x2) = phi(x2)^2 certified by
     V's exact word problem are enumerated by size; the first basis
     pseudoidentity of Z whose phi-image fails in S is returned as
-    (identity, substitution, assignment), else None.
+    (identity, substitution, assignment), else None (also past the budget).
     """
     if isinstance(V, str):
         V = get_pseudovariety(V)
@@ -206,7 +196,7 @@ def pinweil_refute(S, z_basis, V, budget=4000):
             sub = {"x1": t1, "x2": t2}
             for pi in z_basis:
                 tried += 1
-                if tried > budget:
+                if tried > PINWEIL_BUDGET:
                     return None
                 phi_u = tm.substitute(pi.lhs, sub)
                 phi_v = tm.substitute(pi.rhs, sub)

@@ -78,6 +78,10 @@ def test_phi(capsys):
     assert main(["phi", "--k", "1", "--input", "(a b)^w"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["kind"] == "term" and "[ab]" in out["image"]
+    assert main(["phi", "--k", "0", "--input", "(a b)^w"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["image"] == "([a] [b])^(w-1) [a] [b]"
+    assert main(["phi", "--k", "-1", "--input", "abab"]) == 2
 
 
 def test_phi_from_file(capsys, tmp_path):

@@ -105,9 +105,20 @@ def test_phi_term_against_unfolding_oracle():
              ("a^(w-2) b", 1), ("b a^w", 2), ("a^w", 2), ("(a b)^w", 2),
              ("(a b a)^(w+1) c", 2), ("a^w b^w", 1), ("a^w b^w", 2),
              ("(a^w b^w)^w", 1), ("c (a b)^w", 2), ("(a b)^3 c^w", 1),
-             ("(a b (a b)^w)^w", 1), ("(a^w b)^3", 1), ("(a^w b)^2 a^w", 2)]
+             ("(a b (a b)^w)^w", 1), ("(a^w b)^3", 1), ("(a^w b)^2 a^w", 2),
+             ("(a b)^w", 0), ("a^w", 0), ("a^w b", 0), ("(a^w b)^w", 0),
+             ("a (b a)^(w+2) c", 0), ("(a b)^(w-1)", 0), ("a^w b^w", 0)]
     for text, k in cases:
         assert_image_matches_unfolding(text, k, rng)
+
+
+def test_negative_k_is_refused():
+    with pytest.raises(ValueError):
+        dk.phi_k("abab", -1)
+    with pytest.raises(ValueError):
+        dk.phi_k_term(tm.parse_term("(a b)^w"), -1)
+    with pytest.raises(ValueError):
+        dk.vdk_satisfies("Sl", -1, "ab", "abb")
 
 
 def test_phi_term_prime_omega_stabilized():

@@ -175,6 +175,10 @@ def test_ladder():
     # R_2 = R on the small corpus
     for S in all_semigroups_upto(3):
         assert mv.ladder_member(S, "R_m", 2) == pv.member(S, "R")
+    # the family is checked at every m, m = 1 included
+    for m in (1, 2):
+        with pytest.raises(ValueError):
+            mv.ladder_member(lz, "bogus", m)
 
 
 def test_ladder_covers_da_on_corpus():
@@ -220,12 +224,13 @@ def test_witness_homomorphism():
     assert mv.witness_homomorphism(U1, "K", "Sl") is not None
 
 
-def test_cross_validation_triangle():
+def test_cross_validation_triangle(monkeypatch):
+    monkeypatch.setattr(mv, "PINWEIL_BUDGET", 2000)
     K = pv.get_pseudovariety("K")
     for S in all_semigroups_upto(3):
         memb = mv.malcev_member(S, "K", "Sl")
         wit = mv.witness_homomorphism(S, "K", "Sl")
-        ref = mv.pinweil_refute(S, K.basis, "Sl", budget=2000)
+        ref = mv.pinweil_refute(S, K.basis, "Sl")
         if wit is not None:
             assert memb
         if ref is not None:
@@ -430,3 +435,46 @@ def test_per_j_labels_do_not_depend_on_call_order():
                                 mv.mu_quotient(U, Z).table)
                             for Z in order})
         assert results[0] == results[1] == results[2], S.table
+
+
+def test_image_of_j_is_a_j_class_of_the_first_stage():
+    # the staged kernels take J1 = phi(J) as a J-class of T1 without
+    # computing T1's Green data: for the first stages K and K v G, phi(J)
+    # is exactly the J-class of T1 that T1.green() finds
+    from test_semigroups import product_tables
+    for S in [*all_semigroups_upto(5), *product_tables(3, 400)]:
+        g = S.green()
+        for j in g.regular_j:
+            J = g.j_classes[j]
+            for Z in ("K", "KvG"):
+                lab = mv._mu_zj_labels(S, J, Z)
+                reps = sg.least_elements(lab)
+                T1 = sg.FiniteSemigroup(
+                    [[lab[S.table[x][y]] for y in reps] for x in reps], check=False)
+                g1 = T1.green()
+                image = frozenset(lab[x] for x in J)
+                j1 = g1.j_class_of[lab[min(J)]]
+                assert image == g1.j_classes[j1], (S.table, Z, j)
+                assert j1 in g1.regular_j
+
+
+def test_mu_computes_green_data_once(monkeypatch):
+    # every mu label vector reads a Cayley table and S's J-classes: one
+    # fresh S through all six Z computes Green data once, for S itself
+    from test_semigroups import product_tables
+    calls = []
+    compute = sg._compute_green
+
+    def counting(S):
+        calls.append(S)
+        return compute(S)
+
+    monkeypatch.setattr(sg, "_compute_green", counting)
+    for S in [sg.catalog("B2_1"), sg.catalog("free_band_2"), *product_tables(4, 10)]:
+        U = _fresh(S)
+        calls.clear()
+        for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
+            mv.mu_z(U, Z)
+            for j in regular_js(U):
+                mv.mu_zj(U, j, Z)
+        assert calls == [U], S.table
