@@ -138,12 +138,13 @@ def lbf_term(t):
     return LbfResult(x, a, y)
 
 
+@cache
 def _zero_offsets(t):
     if isinstance(t, tm.Letter):
         return t
     if isinstance(t, tm.Concat):
         return tm.concat(*[_zero_offsets(p) for p in t.parts])
-    e = t.exp if isinstance(t.exp, int) else tm.Exponent(t.exp.kind, t.exp.p, 0)
+    e = t.exp if isinstance(t.exp, int) else tm._exponent(t.exp.kind, t.exp.p, 0)
     return tm.power(_zero_offsets(t.base), e)
 
 
@@ -158,7 +159,9 @@ def term_signature(t):
 def ilbf_term(t, cap=60):
     """Iterated left basic factorization of an omega-term: finite,
     infinite (a remainder signature with full content recurred), or
-    unknown at the cap."""
+    unknown at the cap, the number of factorization steps tried (>= 1)."""
+    if cap < 1:
+        raise ValueError(f"the factorization cap must be at least 1, got {cap}")
     full = tm.content(t)
     factors = []
     seen = set()
@@ -186,6 +189,7 @@ def _unphi_word(blocks):
     return (blocks[0][0],) + tuple(b[-1] for b in blocks)
 
 
+@cache
 def _lastmap(t):
     if isinstance(t, tm.Letter):
         return tm.Letter(t.symbol[-1])
@@ -222,7 +226,10 @@ def ilbf2(u, cap=60):
     """The induced factorization through phi_1: factors u_i with
     phi_1(u_i) the x-parts of ilbf(phi_1(u)), plus the final factor q.
 
-    Words always come back finite; omega-terms may be infinite or unknown."""
+    Words always come back finite; omega-terms may be infinite or unknown
+    (cap, at least 1, bounds the factorization steps tried on a term)."""
+    if cap < 1:
+        raise ValueError(f"the factorization cap must be at least 1, got {cap}")
     is_word = not isinstance(u, tm.Term)
     if is_word:
         w = tm._as_word(u)

@@ -75,18 +75,13 @@ _EXPAND_CAP = 64
 _absorb_memo = {}
 
 
+@cache
 def _term_size(t):
     if isinstance(t, tm.Letter):
         return 1
     if isinstance(t, tm.Concat):
         return 1 + sum(_term_size(p) for p in t.parts)
     return 1 + _term_size(t.base)
-
-
-def _base_and_exp(factor):
-    if isinstance(factor, tm.Power):
-        return factor.base, factor.exp
-    return factor, 1
 
 
 def _add_exp(e1, e2):
@@ -98,9 +93,9 @@ def _add_exp(e1, e2):
     if isinstance(e2, int):
         return e1.shifted(e2)
     if e1.kind == "omega":
-        return tm.Exponent(e2.kind, e2.p, e1.offset + e2.offset)
+        return tm._exponent(e2.kind, e2.p, e1.offset + e2.offset)
     if e2.kind == "omega":
-        return tm.Exponent(e1.kind, e1.p, e1.offset + e2.offset)
+        return tm._exponent(e1.kind, e1.p, e1.offset + e2.offset)
     return None  # p^omega + q^omega has no representation here
 
 
@@ -116,61 +111,64 @@ def _emit_run(base, exp):
             return []
         if exp * len(base_fs) <= _EXPAND_CAP:
             return base_fs * exp
-        return [tm.Power(base, exp)] if exp >= 2 else base_fs
-    return [tm.Power(base, exp)]
+        return [tm._power(base, exp)] if exp >= 2 else base_fs
+    return [tm._power(base, exp)]
 
 
 def _gather_word_copies(factors):
     """Fold spelled-out copies of a power's base into its exponent:
-    a b (ab)^e -> (ab)^(e+1), u v (uv)^e -> (uv)^(e+1), both sides."""
-    out = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        for i, f in enumerate(out):
-            if not isinstance(f, tm.Power):
-                continue
-            base_fs = _factors(f.base)
-            n = len(base_fs)
-            if n < 2:
-                continue  # single-factor runs merge in the main pass
-            exp = f.exp
-            lo, hi = i, i + 1
-            while lo >= n and out[lo - n:lo] == base_fs:
-                bumped = _add_exp(exp, 1)
-                if bumped is None:
-                    break
-                exp, lo = bumped, lo - n
-            while hi + n <= len(out) and out[hi:hi + n] == base_fs:
-                bumped = _add_exp(exp, 1)
-                if bumped is None:
-                    break
-                exp, hi = bumped, hi + n
-            if (lo, hi) != (i, i + 1):
-                out[lo:hi] = [tm.Power(f.base, exp)]
-                changed = True
+    a b (ab)^e -> (ab)^(e+1), u v (uv)^e -> (uv)^(e+1), both sides.
+    The input list is returned when nothing folds."""
+    out = factors
+    i = 0
+    while i < len(out):
+        f = out[i]
+        i += 1
+        if not (isinstance(f, tm.Power) and isinstance(f.base, tm.Concat)):
+            continue  # single-factor runs merge in the main pass
+        base_fs = list(f.base.parts)
+        n = len(base_fs)
+        exp = f.exp
+        lo, hi = i - 1, i
+        while lo >= n and out[lo - n:lo] == base_fs:
+            bumped = _add_exp(exp, 1)
+            if bumped is None:
                 break
+            exp, lo = bumped, lo - n
+        while hi + n <= len(out) and out[hi:hi + n] == base_fs:
+            bumped = _add_exp(exp, 1)
+            if bumped is None:
+                break
+            exp, hi = bumped, hi + n
+        if (lo, hi) != (i - 1, i):
+            out = out[:lo] + [tm._power(f.base, exp)] + out[hi:]
+            i = 0  # scan again from the left after each fold
     return out
 
 
 def _combine_pass(factors):
     factors = _gather_word_copies(factors)
-    # 1. merge adjacent factors with equal bases where exponents add
+    # 1. merge adjacent factors with equal bases where exponents add; a
+    # factor left alone is kept, unless it is an integer power to expand
+    runs = [(f.base, f.exp) if isinstance(f, tm.Power) else (f, 1) for f in factors]
     out = []
-    i = 0
-    while i < len(factors):
-        base, exp = _base_and_exp(factors[i])
+    i, n = 0, len(factors)
+    while i < n:
+        base, exp = runs[i]
         j = i + 1
-        while j < len(factors):
-            b2, e2 = _base_and_exp(factors[j])
-            if b2 != base:
+        while j < n:
+            b2, e2 = runs[j]
+            if b2 is not base:
                 break
             s = _add_exp(exp, e2)
             if s is None:
                 break
             exp = s
             j += 1
-        out.extend(_emit_run(base, exp))
+        if j > i + 1 or isinstance(factors[i], tm.Power) and isinstance(exp, int):
+            out.extend(_emit_run(base, exp))
+        else:
+            out.append(factors[i])
         i = j
     # 2. absorption into neighbouring infinite powers
     res = []
@@ -210,6 +208,7 @@ def _absorbs(side, g, base):
     return res
 
 
+@cache
 def _certified_idempotent(t):
     fs = _factors(t)
     return _combine(fs + fs) == fs

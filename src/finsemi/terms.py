@@ -39,10 +39,9 @@ class Exponent:
     offset: int
 
     def __post_init__(self):
-        for name, allowed in (("p", (int, type(None))), ("offset", int)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ValueError(f"exponent {name} must be an integer, got {value!r}")
+        if self.p is not None:
+            _check_int("p", self.p)
+        _check_int("offset", self.offset)
         if self.kind not in ("omega", "primeomega"):
             raise ValueError(f"bad exponent kind {self.kind!r}")
         if self.kind == "primeomega" and not (self.p and _is_prime(self.p)):
@@ -56,14 +55,30 @@ class Exponent:
         return hash((self.kind, self.p or 0, self.offset))
 
     def shifted(self, d):
-        return Exponent(self.kind, self.p, self.offset + d)
+        offset = self.offset + d
+        _check_int("offset", offset)
+        return _exponent(self.kind, self.p, offset)
 
 
-OMEGA = Exponent("omega", None, 0)
+def _check_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"exponent {name} must be an integer, got {value!r}")
+
+
+@cache
+def _exponent(kind, p, offset):
+    """The one shared Exponent for its fields.  Check an offset with
+    _check_int before calling: True == 1 and 1.0 == 1 hash alike, so an
+    unchecked value would be answered with the int's exponent."""
+    return Exponent(kind, p, offset)
+
+
+OMEGA = _exponent("omega", None, 0)
 
 
 def omega(offset=0):
-    return Exponent("omega", None, offset)
+    _check_int("offset", offset)
+    return _exponent("omega", None, offset)
 
 
 def prime_omega(p, offset=0):
@@ -429,6 +444,33 @@ def prefix_word(t, k):
     return (tuple(wb[:k]), False)
 
 
+def suffix_word(t, k):
+    """(last min(k, |t|) symbols of t's unfolding, whether |t| <= k): the
+    mirror of prefix_word, read from the right."""
+    if k <= 0:
+        return ((), False)
+    if isinstance(t, Letter):
+        return ((t.symbol,), True)
+    if isinstance(t, Concat):
+        w = ()
+        for p in reversed(t.parts):
+            wp, exact = suffix_word(p, k + 1 - len(w))
+            w = wp + w
+            if not exact or len(w) > k:
+                return (w[-k:], False)
+        return (w, True)
+    wb, exact = suffix_word(t.base, k + 1)
+    if isinstance(t.exp, int):
+        if not exact:
+            return (wb[-k:], False)
+        reps = min(t.exp, k // len(wb) + 1)
+        return ((wb * reps)[-k:], len(wb) * t.exp <= k)
+    # infinite exponent: the unfolding is unbounded
+    if exact:
+        return ((wb * (k // len(wb) + 1))[-k:], False)
+    return (wb[-k:], False)
+
+
 def _as_word(u):
     """A plain word (string or sequence of symbols) as a tuple of symbols."""
     return tuple(u)
@@ -446,8 +488,7 @@ def beta_k(t, k):
 
 def tau_k(t, k):
     """Length-<=k suffix of the unfolding."""
-    w, _ = prefix_word(reverse_chi(t), k)
-    return tuple(reversed(w))
+    return suffix_word(t, k)[0]
 
 
 def is_finite_word(t):

@@ -4,16 +4,20 @@ semigroup (local monoids, mu quotients, membership verdicts) is cached on
 the instance and dies with it.  The one hand-rolled memo is
 pseudovarieties._absorb_memo, whose in-progress sentinel a
 functools.cache cannot express.  The memoized term maps (canon,
-dk.phi_k_term, factorization.lbf_term and factorization.term_signature)
+pseudovarieties._certified_idempotent and _term_size, dk.phi_k_term,
+factorization.lbf_term, term_signature, _zero_offsets and _lastmap)
 and the compiled identity checkers of terms._compiled_check, keyed by
 the pseudoidentity, give the same results whatever order they are
-called in."""
+called in.  Term nodes and limit exponents are interned for the life
+of the process (terms._letter, _concat, _power and _exponent)."""
 
 import ast
 import gc
 import random
 import weakref
 from pathlib import Path
+
+import pytest
 
 import finsemi
 from finsemi import dk
@@ -63,7 +67,10 @@ def test_no_module_level_mutable_state():
 
 
 def _clear_canon():
+    # _certified_idempotent is computed under _absorb_memo's in-progress
+    # sentinel, so it is cleared with it
     pv.canon.cache_clear()
+    pv._certified_idempotent.cache_clear()
     pv._absorb_memo.clear()
 
 
@@ -89,7 +96,9 @@ def test_canon_does_not_depend_on_call_order():
         for k in (1, 2)] + [
         ("lbf_term", fz.lbf_term, fz.lbf_term.cache_clear),
         ("term_signature", fz.term_signature,
-         lambda: (fz.term_signature.cache_clear(), _clear_canon()))]
+         lambda: (fz.term_signature.cache_clear(), fz._zero_offsets.cache_clear(),
+                  _clear_canon())),
+        ("lastmap", fz._lastmap, fz._lastmap.cache_clear)]
     # a short base under p^omega cannot be lifted: each such term raises
     # after the lifts of its other factors are cached
     unliftable = tm.parse_term("a^(2^w)")
@@ -100,6 +109,20 @@ def test_canon_does_not_depend_on_call_order():
         for name, fn, clear in maps:
             forward, backward = _forward_and_backward(fn, clear, terms)
             assert forward == backward, (seed, name)
+
+
+def test_limit_exponents_are_interned():
+    assert tm.omega(1) is tm.OMEGA.shifted(1) is tm.omega(2).shifted(-1)
+    assert tm.omega() is tm.OMEGA
+    assert pv._add_exp(tm.omega(1), tm.omega(-1)) is tm.OMEGA
+    assert fz._zero_offsets(tm.parse_term("a^(w+3)")).exp is tm.OMEGA
+    # True == 1 and 1.0 == 1 hash alike: the checks run before the intern
+    # cache, which already holds omega + 1
+    for offset in (True, False, 1.0):
+        with pytest.raises(ValueError):
+            tm.omega(offset)
+    with pytest.raises(ValueError):
+        tm.OMEGA.shifted(1.0)
 
 
 def test_satisfies_does_not_depend_on_call_order():

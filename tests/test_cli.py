@@ -104,6 +104,15 @@ def test_ilbf(capsys):
     assert out["outcome"] == "infinite"
 
 
+def test_ilbf_nonpositive_cap_is_a_usage_error(capsys):
+    for cap in ("0", "-3"):
+        assert main(["ilbf", "--input", "(a b)^w", "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cap must be at least 1" in captured.err
+    assert main(["ilbf", "--input", "(a b)^w", "--cap", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "unknown"
+
+
 def test_syn(capsys):
     assert main(["syn", "--regex", "(ab)+"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -107,6 +107,19 @@ def test_ilbf_term_outcomes():
     assert fz.ilbf_term(T("(a^w b)^w")).outcome == "infinite"
 
 
+def test_a_nonpositive_cap_is_rejected():
+    # a cap below 1 tries no factor at all, so it cannot answer unknown
+    for cap in (0, -2):
+        with pytest.raises(ValueError):
+            fz.ilbf_term(T("(a b)^w"), cap=cap)
+        with pytest.raises(ValueError):
+            fz.ilbf2(T("(a b)^w"), cap=cap)
+        with pytest.raises(ValueError):
+            fz.ilbf2("abab", cap=cap)
+    assert fz.ilbf_term(T("(a b)^w"), cap=1).outcome == "unknown"
+    assert fz.ilbf_term(T("(a b)^w"), cap=2).outcome == "infinite"
+
+
 def test_ilbf2_word_examples():
     res = fz.ilbf2("abab")
     assert res.factors == [("a", "b")] and res.q == ("a", "b")

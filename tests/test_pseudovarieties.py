@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from finsemi import dk
+from finsemi import factorization as fz
 from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
 from finsemi import suites
 from finsemi import terms as tm
 from finsemi.corpus import all_semigroups_upto
-from finsemi.errors import UnknownName, WrongAlphabet
+from finsemi.errors import UnknownName, UnsupportedShape, WrongAlphabet
 
 
 def T(text):
@@ -143,6 +145,135 @@ def test_normal_forms_hold_in_every_small_semigroup():
     for pi in rewritten:
         bad = [S.table for S in corpus if not tm.satisfies(S, pi)]
         assert bad == [], str(pi)
+
+
+# The reference combine pass, the oracle of pseudovarieties._combine_pass:
+# it reads every factor's (base, exp) as often as it needs it, re-emits
+# every run, compares bases by equality and copies the factor list.
+
+
+def _reference_base_and_exp(factor):
+    if isinstance(factor, tm.Power):
+        return factor.base, factor.exp
+    return factor, 1
+
+
+def _reference_gather_word_copies(factors):
+    out = list(factors)
+    changed = True
+    while changed:
+        changed = False
+        for i, f in enumerate(out):
+            if not isinstance(f, tm.Power):
+                continue
+            base_fs = pv._factors(f.base)
+            n = len(base_fs)
+            if n < 2:
+                continue
+            exp = f.exp
+            lo, hi = i, i + 1
+            while lo >= n and out[lo - n:lo] == base_fs:
+                bumped = pv._add_exp(exp, 1)
+                if bumped is None:
+                    break
+                exp, lo = bumped, lo - n
+            while hi + n <= len(out) and out[hi:hi + n] == base_fs:
+                bumped = pv._add_exp(exp, 1)
+                if bumped is None:
+                    break
+                exp, hi = bumped, hi + n
+            if (lo, hi) != (i, i + 1):
+                out[lo:hi] = [tm.Power(f.base, exp)]
+                changed = True
+                break
+    return out
+
+
+def _reference_combine_pass(factors):
+    factors = _reference_gather_word_copies(factors)
+    out = []
+    i = 0
+    while i < len(factors):
+        base, exp = _reference_base_and_exp(factors[i])
+        j = i + 1
+        while j < len(factors):
+            b2, e2 = _reference_base_and_exp(factors[j])
+            if b2 != base:
+                break
+            s = pv._add_exp(exp, e2)
+            if s is None:
+                break
+            exp = s
+            j += 1
+        out.extend(pv._emit_run(base, exp))
+        i = j
+    res = []
+    for f in out:
+        if res and isinstance(f, tm.Power) and not isinstance(f.exp, int):
+            while res and pv._absorbs("L", res[-1], f.base):
+                res.pop()
+        res.append(f)
+    out2 = []
+    for f in reversed(res):
+        if out2 and isinstance(f, tm.Power) and not isinstance(f.exp, int):
+            while out2 and pv._absorbs("R", out2[-1], f.base):
+                out2.pop()
+        out2.append(f)
+    return list(reversed(out2))
+
+
+def _clear_certifier_memos():
+    pv.canon.cache_clear()
+    pv._certified_idempotent.cache_clear()
+    pv._absorb_memo.clear()
+
+
+def _combine_pass_inputs():
+    """The lemma69 suite's terms, random omega-terms over ab, their
+    window images at k = 1 and 2, and every ilbf_term remainder of
+    those images, with its offsets zeroed as term_signature does."""
+    rng = random.Random(0)
+    terms = []
+    for _ in range(250):
+        t = suites._random_term(rng, "ab")
+        terms += [t, suites._sound_variant(rng, t)]
+    rng = random.Random(1)
+    terms += [suites._random_term(rng, "ab", depth=3) for _ in range(250)]
+    for t in terms[:]:
+        for k in (1, 2):
+            try:
+                img = dk.phi_k_term(t, k)
+            except UnsupportedShape:
+                continue
+            rem = img
+            for _ in range(8):
+                if rem is None:
+                    break
+                terms += [rem, fz._zero_offsets(pv.canon(rem))]
+                rem = fz.lbf_term(rem).y
+    return list(dict.fromkeys(terms))
+
+
+def test_combine_pass_matches_the_reference_pass(monkeypatch):
+    terms = _combine_pass_inputs()
+    assert len(terms) > 3000
+    # canon's factor lists hold no integer power short enough to expand,
+    # so the passes also run on the raw factors of each concatenation
+    raw = [list(t.parts) for t in terms if isinstance(t, tm.Concat)]
+
+    def run():
+        _clear_certifier_memos()
+        forms = [pv.canon(t) for t in terms]
+        _clear_certifier_memos()
+        return forms, [pv._combine_pass(fs) for fs in raw]
+
+    monkeypatch.setattr(pv, "_combine_pass", _reference_combine_pass)
+    reference, reference_raw = run()
+    monkeypatch.undo()
+    fast, fast_raw = run()
+    assert [f is r for f, r in zip(fast, reference, strict=True)] == [True] * len(terms)
+    assert sum(f is not t for f, t in zip(fast, terms)) > 1000  # canon rewrote
+    assert fast_raw == reference_raw
 
 
 def test_left_permanence_of_display_list():

@@ -325,6 +325,34 @@ def test_beta_tau_of_words_match_slices(word, k):
     assert "".join(tm.tau_k(t, k)) == word[-k:] if len(word) >= k else word
 
 
+def _random_powered_term(rng, depth=3):
+    """Random terms over abc with integer, omega+q and p^omega+q powers."""
+    if depth == 0 or rng.random() < 0.3:
+        return tm.word_term(rng.choice("abc") for _ in range(rng.randint(1, 3)))
+    t = tm.concat(*[_random_powered_term(rng, depth - 1)
+                    for _ in range(rng.randint(1, 3))])
+    roll = rng.random()
+    if roll < 0.25:
+        return tm.power(t, rng.randint(2, 4))
+    if roll < 0.5:
+        return tm.power(t, tm.omega(rng.randint(-2, 2)))
+    if roll < 0.65:
+        return tm.power(t, tm.prime_omega(rng.choice((2, 3)), rng.randint(-1, 1)))
+    return t
+
+
+def test_suffix_word_is_the_mirrored_prefix_word():
+    # the oracle reads the suffix as the prefix of the mirror image
+    rng = random.Random(5)
+    for _ in range(2000):
+        t = _random_powered_term(rng)
+        mirror = tm.reverse_chi(t)
+        for k in range(6):
+            w, exact = tm.prefix_word(mirror, k)
+            assert tm.suffix_word(t, k) == (tuple(reversed(w)), exact), (t, k)
+            assert tm.tau_k(t, k) == tuple(reversed(w))
+
+
 def test_left_contour():
     c = tm.left_contour(T("(a b)^w"))
     assert c.kind == "up" and c.prefix == () and c.period == ("a", "b")
