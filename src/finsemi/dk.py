@@ -15,14 +15,14 @@ oracle of the slicing path.  The lifting is memoized by (term, k):
 terms are frozen, so each distinct subterm is lifted once per process,
 however often it recurs inside a term or across the terms decided.
 
-Word images live in a finite relatively free object whenever
-V's free objects are finite (Sl, K_m, D_m, N_m, D_j); its elements are
-short words plus (prefix, suffix, V-value) triples.
+VdkImages folds words into the triple algebra of V * D_k whenever V's
+free objects are finite (Sl, K_m, D_m, N_m, D_j): short words plus
+(prefix, suffix, V-value) triples.  It is the differential oracle of
+vdk_satisfies.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 
 from . import semigroups as sg
 from . import terms as tm
@@ -70,14 +70,6 @@ def phi_k(u, k):
     """Window word of a plain word: empty when |u| <= k."""
     _check_k(k)
     return WindowWord(k, _windows(tm._as_word(u), k))
-
-
-def c_k1(u, k):
-    """Content of the window image: the set of length-(k+1) factors."""
-    if isinstance(u, tm.Term):
-        img = phi_k_term(u, k)
-        return frozenset() if img is None else tm.content(img)
-    return frozenset(phi_k(u, k).blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +209,7 @@ def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
 
 
 # ---------------------------------------------------------------------------
-# Relatively free objects for locally finite V * D_k
+# The triple algebra of locally finite V * D_k
 
 
 # The free-object rule (semigroups.free_value / free_mul) of each locally
@@ -270,45 +262,9 @@ class VdkImages:
     def image_of_word(self, word):
         """Fold a word through the letter images; the canonical homomorphism."""
         w = tm._as_word(word)
+        if not w:
+            raise ValueError("empty concatenation")
         acc = ("short", (w[0],))
         for a in w[1:]:
             acc = self._mul(acc, ("short", (a,)))
         return acc
-
-
-class FreeDkObject(VdkImages):
-    """The triple algebra materialized over a fixed alphabet: the
-    relatively free object with its multiplication table."""
-
-    def __init__(self, V, alphabet, k):
-        super().__init__(V, k)
-        self.alphabet = tuple(alphabet)
-        letters = [("short", (a,)) for a in self.alphabet]
-        elems, index = sg.closure(letters, self._mul)
-        self.elements = elems
-        self.index = index
-        self.semigroup = sg.FiniteSemigroup(sg.cayley(elems, index, self._mul),
-                                            check=False)
-        self.generator_indices = tuple(index[e] for e in letters)
-
-
-def free_object_vdk(V, alphabet, k):
-    if len(tuple(alphabet)) > 3 or k > 2:
-        raise BudgetExceeded("free objects guarded to |A| <= 3, k <= 2")
-    return FreeDkObject(V, alphabet, k)
-
-
-def member_vdk(S, V, k):
-    """Whether S lies in V * D_k, for V with a finite free-object backend:
-    S must be a quotient of the relatively free object on as many letters
-    as a minimal generating set of S."""
-    gens = sg.minimal_generating_set(S)
-    g = len(gens)
-    if g > 3:
-        raise BudgetExceeded("member_vdk requires a generating set of size <= 3")
-    letters = ("a", "b", "c")[:g]
-    F = free_object_vdk(V, letters, k)
-    return any(len(sg.closure(tup, S.mul)[0]) == S.order
-               and sg.extends_to_homomorphism(F.semigroup, S,
-                                              zip(F.generator_indices, tup))
-               for tup in product(range(S.order), repeat=g))

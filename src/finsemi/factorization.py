@@ -159,14 +159,15 @@ def term_signature(t):
 def ilbf_term(t, cap=60):
     """Iterated left basic factorization of an omega-term: finite,
     infinite (a remainder signature with full content recurred), or
-    unknown at the cap, the number of factorization steps tried (>= 1)."""
+    unknown when the remainder after `cap` factors (cap >= 1) would need
+    another one."""
     if cap < 1:
         raise ValueError(f"the factorization cap must be at least 1, got {cap}")
     full = tm.content(t)
     factors = []
     seen = set()
     rem = t
-    for _ in range(cap):
+    while True:
         if rem is None:
             return IlbfResult("finite", factors, remainder=None)
         if tm.content(rem) != full:
@@ -174,11 +175,12 @@ def ilbf_term(t, cap=60):
         sig = term_signature(rem)
         if sig in seen:
             return IlbfResult("infinite", factors, witness=sig)
+        if len(factors) == cap:
+            return IlbfResult("unknown", factors, cap=cap)
         seen.add(sig)
         res = lbf_term(rem)
         factors.append((res.x, res.a))
         rem = res.y
-    return IlbfResult("unknown", factors, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +229,7 @@ def ilbf2(u, cap=60):
     phi_1(u_i) the x-parts of ilbf(phi_1(u)), plus the final factor q.
 
     Words always come back finite; omega-terms may be infinite or unknown
-    (cap, at least 1, bounds the factorization steps tried on a term)."""
+    (cap, at least 1, bounds the factors taken on a term)."""
     if cap < 1:
         raise ValueError(f"the factorization cap must be at least 1, got {cap}")
     is_word = not isinstance(u, tm.Term)

@@ -757,6 +757,8 @@ def free_mul(kind, x, y, k):
 
 
 def _free_object(kind, k, letters):
+    if k < 1:
+        raise ValueError(f"free objects need k >= 1, got {k}")
     bounded = kind == "bounded_word"
     if bounded and FREE_ZERO in letters:
         raise PreconditionViolated(f"letter {FREE_ZERO!r} is the label of the zero")

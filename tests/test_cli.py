@@ -110,6 +110,8 @@ def test_ilbf_nonpositive_cap_is_a_usage_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "cap must be at least 1" in captured.err
     assert main(["ilbf", "--input", "(a b)^w", "--cap", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "infinite"
+    assert main(["ilbf", "--input", "a^50", "--cap", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["outcome"] == "unknown"
 
 

@@ -116,8 +116,17 @@ def test_a_nonpositive_cap_is_rejected():
             fz.ilbf2(T("(a b)^w"), cap=cap)
         with pytest.raises(ValueError):
             fz.ilbf2("abab", cap=cap)
-    assert fz.ilbf_term(T("(a b)^w"), cap=1).outcome == "unknown"
-    assert fz.ilbf_term(T("(a b)^w"), cap=2).outcome == "infinite"
+    assert fz.ilbf_term(T("(a b)^w"), cap=1).outcome == "infinite"
+    assert fz.ilbf_term(T("a^50"), cap=1).outcome == "unknown"
+
+
+def test_the_cap_bounds_the_factors_taken():
+    # the remainder after the last factor allowed is still examined
+    for text, cap in [("a b a b", 2), ("a b", 1)]:
+        res = fz.ilbf_term(T(text), cap=cap)
+        assert res.outcome == "finite" and len(res.factors) == cap, text
+    res = fz.ilbf_term(T("a^50"), cap=3)
+    assert res.outcome == "unknown" and len(res.factors) == 3
 
 
 def test_ilbf2_word_examples():

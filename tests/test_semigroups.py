@@ -317,15 +317,17 @@ def test_closure_order_index_and_closedness():
 
 
 def test_closure_budget_bounds_every_caller(monkeypatch):
-    from finsemi import dk
     from finsemi import languages as lg
+    B2 = sg.catalog("B2")
     monkeypatch.setattr(sg, "CLOSURE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
-        sg.closure([0, 1], sg.catalog("B2").mul)
+        sg.closure([0, 1], B2.mul)
+    with pytest.raises(BudgetExceeded):
+        sg.generate(B2, [0, 1])
+    with pytest.raises(BudgetExceeded):
+        sg.minimal_generating_set(B2)
     with pytest.raises(BudgetExceeded):
         lg.syntactic_semigroup(lg.parse_regex("(ab)+"))
-    with pytest.raises(BudgetExceeded):
-        dk.free_object_vdk("Sl", "ab", 1)
     with pytest.raises(BudgetExceeded):
         list(sg.congruences(sg.catalog("null", 4)))
 
@@ -378,6 +380,13 @@ def test_catalog_free_k_free_n():
     N2 = sg.catalog("free_n", 2, "ab")
     assert N2.order == 3  # a, b, 0
     assert N2.table[0][1] == 2
+
+
+@pytest.mark.parametrize("name", ["free_d", "free_k", "free_n"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_catalog_free_objects_need_positive_k(name, k):
+    with pytest.raises(ValueError, match=f"k >= 1, got {k}"):
+        sg.catalog(name, k, "ab")
 
 
 def test_canonical_form_idempotent_under_relabeling():
