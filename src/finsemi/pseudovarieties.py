@@ -253,7 +253,7 @@ def canon(t):
         parts = []
         for p in t.parts:
             parts.extend(_factors(canon(p)))
-        return tm.concat(*_combine(parts))
+        return tm.concat_flat(_combine(parts))
     return _canon_power(canon(t.base), t.exp)
 
 
@@ -271,7 +271,7 @@ def _canon_power(base, exp):
     if len(fs) > 1:
         root, j = tm._primitive_root(tuple(fs))
         if j > 1:
-            root_term = tm.concat(*root)
+            root_term = tm.concat_flat(root)
             if isinstance(exp, int):
                 return canon(tm.power(root_term, exp * j))
             if exp.kind == "omega":
@@ -280,8 +280,8 @@ def _canon_power(base, exp):
     if _certified_idempotent(base):
         return base
     if isinstance(exp, int):
-        return tm.concat(*_combine(_emit_run(base, exp)))
-    return tm.concat(*_combine([tm.Power(base, exp)]))
+        return tm.concat_flat(_combine(_emit_run(base, exp)))
+    return tm.concat_flat(_combine([tm.Power(base, exp)]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +341,21 @@ def refute_over_models(lhs, rhs, max_order=4):
     return None
 
 
+def canon_equal(u, v):
+    """The certifier's proof step alone: whether u and v have one normal
+    form, or None, computing none, when their joint size exceeds
+    PROOF_SIZE_CAP.  True proves u = v over all finite semigroups."""
+    if _term_size(u) + _term_size(v) > PROOF_SIZE_CAP:
+        return None
+    return canon(u) == canon(v)
+
+
 def proves_equal_over_S(u, v, max_order=4):
     """Sound three-valued equality of omega-terms over all finite semigroups."""
-    if _term_size(u) + _term_size(v) > PROOF_SIZE_CAP:
+    same = canon_equal(u, v)
+    if same is None:
         return UNKNOWN
-    if canon(u) == canon(v):
+    if same:
         return PROVED
     w = refute_over_models(u, v, max_order=max_order)
     if w is not None:

@@ -4,14 +4,14 @@ Semigroups are multiplication tables over dense element indices 0..n-1.
 Everything downstream (Green's relations, quotients, duals, products,
 division search, the named catalog) works on this representation.
 Instances are immutable after construction; derived data (Green's
-structure, idempotents, cyclic index/period, canonical form, local
-monoids, and the mu labels, mu quotients and membership verdicts of
-other modules) is computed once, when first read, and cached on the
-instance it is derived from.
+structure, idempotents, each element's index, period and omega power,
+canonical form, local monoids, and the mu labels, mu quotients and
+membership verdicts of other modules) is computed once, when first
+read, and cached on the instance it is derived from.
 """
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations, product
 
 from .errors import (
@@ -69,7 +69,8 @@ class FiniteSemigroup:
         self.generators = generators
         self._green = None
         self._idempotents = None
-        self._index_period = {}
+        # per element x read so far: (index, period, x^omega), see _cycle
+        self._cycles = {}
         self._canon = None
         # derived semigroups, labels and verdicts, keyed by e (an int) for
         # local_monoid, Z (a str) for malcev.mu_quotient, (Z, J) with J a
@@ -130,42 +131,47 @@ class FiniteSemigroup:
             n >>= 1
         return acc
 
+    def _cycle(self, x):
+        """(index i, period p, x^omega) of the cyclic subsemigroup of x,
+        from one walk of x, x^2, ... until the powers repeat: x^(i+p) =
+        x^i with i and p minimal, and x^omega = x^m for the multiple m of
+        p in [i, i+p).  Cached per element."""
+        t = self.table
+        powers = []  # powers[k] = x^(k+1)
+        seen = {}
+        cur = x
+        while cur not in seen:
+            seen[cur] = len(powers)
+            powers.append(cur)
+            cur = t[cur][x]
+        i = seen[cur] + 1
+        p = len(powers) + 1 - i
+        cycle = (i, p, powers[-(-i // p) * p - 1])
+        self._cycles[x] = cycle
+        return cycle
+
     def index_period(self, x):
         """(index i, period p) of the cyclic subsemigroup of x.
 
         x, x^2, ... x^(i-1) are distinct and x^(i+p) = x^i with p minimal.
         """
-        cached = self._index_period.get(x)
-        if cached is not None:
-            return cached
-        seen = {}
-        cur = x
-        k = 1
-        while cur not in seen:
-            seen[cur] = k
-            cur = self.table[cur][x]
-            k += 1
-        i = seen[cur]
-        p = k - i
-        self._index_period[x] = (i, p)
-        return (i, p)
+        i, p, _ = self._cycles.get(x) or self._cycle(x)
+        return i, p
 
     def omega_power(self, x, offset=0):
-        """x^(omega+offset): the limit of x^(n!+offset) in this semigroup."""
-        i, p = self.index_period(x)
-        n = p
-        while n < i + abs(offset) + p:
-            n += p
-        return self.power(x, n + offset)
+        """x^(omega+offset): the limit of x^(n!+offset) in this semigroup,
+        which is x^omega when the period p divides offset and x^omega
+        x^(offset mod p) otherwise."""
+        _, p, e = self._cycles.get(x) or self._cycle(x)
+        r = offset % p
+        if r == 0:
+            return e
+        return self.table[e][x if r == 1 else self.power(x, r)]
 
     def prime_omega_power(self, x, p, offset=0):
         """x^(p^omega+offset): the limit of x^(p^(n!)+offset), p prime."""
-        i, per = self.index_period(x)
-        residue = _stable_prime_residue(p, per)
-        n = residue if residue > 0 else per
-        while n < i + abs(offset) + per:
-            n += per
-        return self.power(x, n + offset)
+        _, per, _ = self._cycles.get(x) or self._cycle(x)
+        return self.omega_power(x, _stable_prime_residue(p, per) + offset)
 
     def green(self):
         if self._green is None:
@@ -189,6 +195,7 @@ class FiniteSemigroup:
         return sgp
 
 
+@cache
 def _stable_prime_residue(p, modulus):
     """lim p^(n!) mod modulus; constant once n >= modulus."""
     if modulus == 1:

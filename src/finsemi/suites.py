@@ -19,11 +19,11 @@ from .corpus import all_semigroups_upto, enumerate_semigroups, naive_enumerate
 from .errors import UnsupportedShape
 from .pseudovarieties import (
     _chi_identity,
+    canon_equal,
     get_pseudovariety,
     is_left_permanent,
     is_right_permanent,
     member,
-    proves_equal_over_S,
 )
 
 
@@ -280,7 +280,7 @@ def suite_lemma69_terms(config):
         if exact and len(word0) < 2:
             continue
         t2 = _sound_variant(rng, t)
-        if t2 == t or not proves_equal_over_S(t, t2, max_order=0).proved:
+        if t2 == t or not canon_equal(t, t2):
             continue
         made += 1
         report.checked += 1

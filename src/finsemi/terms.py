@@ -191,11 +191,18 @@ def concat(*terms):
             parts.extend(t.parts)
         else:
             parts.append(t)
+    return concat_flat(parts)
+
+
+def concat_flat(parts):
+    """concat(*parts) for a list that is already flat, holding no None and
+    no Concat, as the certifier's factor lists are: built by the intern
+    builder without checking the parts again."""
     if not parts:
         raise ValueError("empty concatenation")
     if len(parts) == 1:
         return parts[0]
-    return _concat(tuple(parts))  # flattened above, as Concat requires
+    return _concat(tuple(parts))
 
 
 def power(base, exp):

@@ -1,7 +1,8 @@
 """The cache policy: a value that outlives a call is memoized with
 functools.cache on the function that computes it; derived data of one
-semigroup (local monoids, mu quotients, membership verdicts) is cached on
-the instance and dies with it.  The one hand-rolled memo is
+semigroup (each element's index, period and omega power, local monoids,
+mu quotients, membership verdicts) is cached on the instance and dies
+with it.  The one hand-rolled memo is
 pseudovarieties._absorb_memo, whose in-progress sentinel a
 functools.cache cannot express.  The memoized term maps (canon,
 pseudovarieties._certified_idempotent and _term_size, dk.phi_k_term,
@@ -188,9 +189,11 @@ def test_derived_data_dies_with_its_semigroup():
         assert sg.is_isomorphic(sg.quotient(D, mv.mu_z(D, "K")),
                                 sg.dual(sg.quotient(S, mv.mu_z(S, "D"))))
         e = min(S.idempotents())
+        for x in range(S.order):
+            S.omega_power(x, -1)
         refs = [weakref.ref(x) for x in
                 (S, D, mv.mu_quotient(S, "LI"), sg.local_monoid(S, e))]
-        assert S._derived
+        assert S._derived and len(S._cycles) == S.order
         del S, D
         assert [r() for r in refs] == [None] * len(refs)
     finally:

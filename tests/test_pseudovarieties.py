@@ -104,8 +104,27 @@ def test_certifier_size_cap(monkeypatch):
     u, v = T("(x1^w)^w"), T("x1^w")  # joint size 3 + 2
     monkeypatch.setattr(pv, "PROOF_SIZE_CAP", 5)
     assert pv.proves_equal_over_S(u, v).proved
+    assert pv.canon_equal(u, v) is True
     monkeypatch.setattr(pv, "PROOF_SIZE_CAP", 4)
     assert pv.proves_equal_over_S(u, v).unknown
+    assert pv.canon_equal(u, v) is None
+
+
+def test_canon_equal_is_the_certifiers_proof_step():
+    # related pairs (sound variants) and unrelated ones, over ab
+    rng = random.Random(4)
+    pairs = []
+    for _ in range(400):
+        t = suites._random_term(rng, "ab")
+        pairs.append((t, suites._sound_variant(rng, t)))
+        pairs.append((t, suites._random_term(rng, "ab")))
+    seen = set()
+    for u, v in pairs:
+        same = pv.canon_equal(u, v)
+        verdict = pv.proves_equal_over_S(u, v, max_order=0)
+        assert same is not None and same == verdict.proved, (u, v)
+        seen.add(same)
+    assert seen == {True, False}
 
 
 def test_certifier_soundness_audit():

@@ -1,3 +1,4 @@
+import math
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -66,6 +67,67 @@ def test_b2_relations():
     assert B2.table[a][a] == z
     assert B2.table[b][b] == z
     assert B2.idempotents() == {ab, ba, z}
+
+
+def _powers_by_multiplication(S, x, length):
+    """[None, x, x^2, ..., x^length], each power one multiplication by x
+    from the last."""
+    seq = [None, x]
+    while len(seq) <= length:
+        seq.append(S.table[seq[-1]][x])
+    return seq
+
+
+def test_powers_match_repeated_multiplication():
+    # In an order-n semigroup index + period <= n + 1 and the period
+    # divides lcm(1..n), so x^(omega+q) = x^(big+q) for a multiple big of
+    # the lcm with big - 4 >= n, and x^(p^omega+q) = x^(big+r+q) for r
+    # the stable value of p^(m!) mod the lcm.
+    from finsemi.corpus import all_semigroups_upto
+    from finsemi.pseudovarieties import _two_idempotent_monster
+    semigroups = [*all_semigroups_upto(5), *(sg.catalog("cyclic", n) for n in range(1, 13)),
+                  sg.catalog("B2"), sg.catalog("B2_1"), sg.catalog("free_band_2"),
+                  _two_idempotent_monster()]
+    for S in semigroups:
+        n = S.order
+        lcm = math.lcm(*range(1, n + 1))
+        big = lcm * -(-(n + 4) // lcm)
+        residue = {}
+        for prime in (2, 3, 5):
+            stable = {pow(prime, math.factorial(m), lcm) for m in (n + 8, n + 9)}
+            assert len(stable) == 1, "oracle exponent not yet stable"
+            residue[prime] = stable.pop()
+        for x in range(n):
+            seq = _powers_by_multiplication(S, x, big + lcm + 4)
+            i = next(k for k in range(1, n + 2) if seq[k] in seq[k + 1:n + 2])
+            p = seq[i + 1:].index(seq[i]) + 1
+            assert S.index_period(x) == (i, p), (S.table, x)
+            top = 3 * (i + p)
+            assert [S.power(x, k) for k in range(1, top + 1)] == seq[1:top + 1]
+            for q in range(-4, 5):
+                assert S.omega_power(x, q) == seq[big + q], (S.table, x, q)
+            for prime in (2, 3, 5):
+                for q in range(-2, 3):
+                    assert S.prime_omega_power(x, prime, q) == \
+                        seq[big + residue[prime] + q], (S.table, x, prime, q)
+
+
+def test_powers_in_a_large_cyclic_group():
+    # Z/997 written additively: x^k = kx, every x != 0 has index 1 and
+    # period 997, and omega + q and p^omega + q act as q and r + q for
+    # r = p^(997!) mod 997
+    n = 997
+    S = sg.catalog("cyclic", n)
+    residue = {prime: pow(prime, math.factorial(n), n) for prime in (2, 3, 5)}
+    for x in range(n):
+        assert S.index_period(x) == (1, n if x else 1)
+        for k in (1, 2, 3, 996, 997, 998, 10**6 + 7):
+            assert S.power(x, k) == k * x % n
+        for q in range(-4, 5):
+            assert S.omega_power(x, q) == q * x % n
+        for prime, r in residue.items():
+            for q in range(-2, 3):
+                assert S.prime_omega_power(x, prime, q) == (r + q) * x % n
 
 
 def test_green_b2():

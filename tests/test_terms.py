@@ -353,6 +353,19 @@ def test_suffix_word_is_the_mirrored_prefix_word():
             assert tm.tau_k(t, k) == tuple(reversed(w))
 
 
+def test_concat_flat_is_concat_on_flat_lists():
+    rng = random.Random(9)
+    for _ in range(2000):
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            t = _random_powered_term(rng, depth=2)
+            parts.extend(t.parts if isinstance(t, tm.Concat) else [t])
+        want = parts[0] if len(parts) == 1 else tm.Concat(parts)
+        assert tm.concat_flat(parts) is want is tm.concat(*parts), parts
+        assert tm.concat_flat(tuple(parts)) is want
+    with pytest.raises(ValueError, match="empty concatenation"):
+        tm.concat_flat([])
+
 def test_left_contour():
     c = tm.left_contour(T("(a b)^w"))
     assert c.kind == "up" and c.prefix == () and c.period == ("a", "b")
