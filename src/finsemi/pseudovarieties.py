@@ -142,8 +142,17 @@ def _gather_word_copies(factors):
             exp, hi = bumped, hi + n
         if (lo, hi) != (i - 1, i):
             out = out[:lo] + [tm._power(f.base, exp)] + out[hi:]
-            i = 0  # scan again from the left after each fold
+            # out[:lo] is unchanged, so a power left of the fold can fold
+            # again only if its first right copy reaches into the fold
+            i = next((p for p in range(lo) if _right_copy_reaches(out[p], p, lo)), lo)
     return out
+
+
+def _right_copy_reaches(f, p, lo):
+    """Whether f, at position p, is a power whose first right copy of its
+    base overlaps position lo."""
+    return (isinstance(f, tm.Power) and isinstance(f.base, tm.Concat)
+            and p + 1 + len(f.base.parts) > lo)
 
 
 def _combine_pass(factors):

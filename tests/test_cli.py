@@ -102,6 +102,11 @@ def test_ilbf(capsys):
     assert main(["ilbf", "--input", "(a b)^w", "--k", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["outcome"] == "infinite"
+    # a term is factorized through its normal form
+    assert main(["ilbf", "--input", "a^w a^w b a b"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"outcome": "finite", "factors": [["a^w", "b"], ["a", "b"]],
+                   "remainder": ""}
 
 
 def test_ilbf_nonpositive_cap_is_a_usage_error(capsys):

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from finsemi import dk
 from finsemi import factorization as fz
+from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
+from finsemi import suites
 from finsemi import terms as tm
 from finsemi.pseudovarieties import member, proves_equal_over_S
 
@@ -15,11 +17,11 @@ def T(text):
     return tm.parse_term(text)
 
 
-def regressive_monoid():
-    # order-decreasing functions on a 4-chain: an R-trivial monoid of order 24
-    funcs = [f for f in product(range(4), repeat=4) if all(f[i] <= i for i in range(4))]
+def regressive_monoid(n=4):
+    # order-decreasing functions on an n-chain: an R-trivial monoid of order n!
+    funcs = [f for f in product(range(n), repeat=n) if all(f[i] <= i for i in range(n))]
     idx = {f: i for i, f in enumerate(funcs)}
-    table = [[idx[tuple(g[f[x]] for x in range(4))] for g in funcs] for f in funcs]
+    table = [[idx[tuple(g[f[x]] for x in range(n))] for g in funcs] for f in funcs]
     return sg.FiniteSemigroup(table, check=False)
 
 
@@ -275,3 +277,129 @@ def test_remark_projection_instance():
             assert ru.length == rv.length
             for (xu, au), (xv, av) in zip(ru.factors, rv.factors):
                 assert au == av
+
+
+def _lemma69_pairs(seed, count):
+    """The lemma69 suite's generator: omega-terms over ab, each with a
+    sound variant."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        t = suites._random_term(rng, "ab")
+        t2 = suites._sound_variant(rng, t)
+        if t2 != t:
+            pairs.append((t, t2))
+    return pairs
+
+
+def _factorization_terms():
+    """Both sides of the generator's pairs (seeds 0 and 1) and depth-3
+    terms, without letters, whose window image is empty."""
+    pairs = _lemma69_pairs(0, 150) + _lemma69_pairs(1, 150)
+    rng = random.Random(2)
+    deep = [suites._random_term(rng, "ab", depth=3) for _ in range(100)]
+    terms = [t for pair in pairs for t in pair] + deep
+    terms = [t for t in dict.fromkeys(terms) if not isinstance(t, tm.Letter)]
+    return pairs, terms
+
+
+# The raw route, the oracle of ilbf_term: the same loop, walking the
+# remainders cut from t as written instead of from canon(t).
+
+
+def _reference_ilbf_term(t, cap=60):
+    full = tm.content(t)
+    factors = []
+    seen = set()
+    rem = t
+    while True:
+        if rem is None:
+            return fz.IlbfResult("finite", factors, remainder=None)
+        if tm.content(rem) != full:
+            return fz.IlbfResult("finite", factors, remainder=rem)
+        sig = fz.term_signature(rem)
+        if sig in seen:
+            return fz.IlbfResult("infinite", factors, witness=sig)
+        if len(factors) == cap:
+            return fz.IlbfResult("unknown", factors, cap=cap)
+        seen.add(sig)
+        res = fz.lbf_term(rem)
+        factors.append((res.x, res.a))
+        rem = res.y
+
+
+def _decisions(t):
+    """ilbf2 and ds_dk_regular at k = 1 as (outcome, length, witness).  An
+    infinite factorization's witness is the first recurring signature; it
+    is compared with its limit-exponent offsets zeroed, since where a
+    cycle is first seen depends on the terms, not only their values."""
+    r = fz.ilbf2(t, cap=40)
+    witness = fz._zero_offsets(r.witness) if isinstance(r.witness, tm.Term) else r.witness
+    g = fz.ds_dk_regular(t, 1)
+    return (r.outcome, r.length, witness), (g.status, g.witness and g.witness.length)
+
+
+def test_ilbf_term_matches_the_raw_route(monkeypatch):
+    pairs, terms = _factorization_terms()
+    assert len(terms) >= 500
+    new = {t: _decisions(t) for t in terms}
+    monkeypatch.setattr(fz, "ilbf_term", _reference_ilbf_term)
+    reference = {t: _decisions(t) for t in terms}
+    assert new == reference
+    outcomes = [d[0][0] for d in new.values()]
+    assert outcomes.count("finite") > 50 and outcomes.count("infinite") > 300
+    # Lemma 6.9's invariance on two distinct computations: the raw route on
+    # the variant against the normal-form route on the term
+    certified = [(t, t2) for t, t2 in pairs
+                 if not isinstance(t, tm.Letter) and proves_equal_over_S(t, t2).proved]
+    assert len(certified) > 250
+    for t, t2 in certified:
+        (o1, n1, _), (g1, _) = new[t]
+        (o2, n2, _), (g2, _) = reference[t2]
+        assert (o1, n1, g1) == (o2, n2, g2), tm.term_to_text(t)
+
+
+def _clear_memos():
+    pv.canon.cache_clear()
+    pv._certified_idempotent.cache_clear()
+    pv._absorb_memo.clear()
+    fz.term_signature.cache_clear()
+    fz.lbf_term.cache_clear()
+
+
+def test_factorizations_do_not_depend_on_call_order():
+    _pairs, terms = _factorization_terms()
+    terms = terms[:300]
+    _clear_memos()
+    forward = [_decisions(t) for t in terms]
+    _clear_memos()
+    backward = [_decisions(t) for t in reversed(terms)]
+    _clear_memos()
+    assert forward == backward[::-1]
+
+
+def test_r_equal_proofs_hold_and_refutations_replay():
+    pairs = _lemma69_pairs(0, 150)
+    rng = random.Random(1)
+    pairs += [(suites._random_term(rng, "ab"), suites._random_term(rng, "ab"))
+              for _ in range(150)]
+    members = fz._r_members()
+    larger = regressive_monoid(5)
+    verdicts = [fz.r_equal(u, v) for u, v in pairs]
+    statuses = [v.status for v in verdicts]
+    assert statuses.count("proved") > 100 and statuses.count("refuted") > 100
+    for (u, v), verdict in zip(pairs, verdicts):
+        pi = tm.pseudo_identity(u, v)
+        if verdict.proved:
+            assert all(tm.satisfies(S, pi) for S in members), tm.term_to_text(u)
+            # a coinductive proof must also hold where the corpus is too small
+            # to refute it
+            assert pv.canon_equal(u, v) or tm.satisfies(larger, pi), tm.term_to_text(u)
+        elif verdict.refuted and isinstance(verdict.witness, dict):
+            S, asg = verdict.witness["semigroup"], verdict.witness["assignment"]
+            assert tm.evaluate(u, S, asg) != tm.evaluate(v, S, asg)
+            assert tm.satisfies(S, pi, witness=True) == (False, asg)
+        elif verdict.refuted:
+            # a refutation from the factorizations carries no model; the
+            # R-trivial monoid of order 120 separates the pair instead
+            assert not tm.satisfies(larger, pi), tm.term_to_text(u)

@@ -250,7 +250,8 @@ def _clear_certifier_memos():
 def _combine_pass_inputs():
     """The lemma69 suite's terms, random omega-terms over ab, their
     window images at k = 1 and 2, and every ilbf_term remainder of
-    those images, with its offsets zeroed as term_signature does."""
+    those images, with its offsets zeroed as term_signature does, and
+    one term in which a fold hands a power on its left a copy."""
     rng = random.Random(0)
     terms = []
     for _ in range(250):
@@ -270,6 +271,9 @@ def _combine_pass_inputs():
                     break
                 terms += [rem, fz._zero_offsets(pv.canon(rem))]
                 rem = fz.lbf_term(rem).y
+    # folding a b into (a b)^w makes the next two factors a right copy of
+    # the power on their left
+    terms.append(tm.parse_term("(c (a b)^(w+1))^w c a b (a b)^w"))
     return list(dict.fromkeys(terms))
 
 
