@@ -114,7 +114,7 @@ def cmd_phi(args):
 def cmd_ilbf(args):
     u = _load_word_or_term(args.input)
     if args.k is not None:
-        u = dk.phi_k_term(u if isinstance(u, tm.Term) else tm.word_term(u), args.k)
+        u = fz.window_image(u if isinstance(u, tm.Term) else tm.word_term(u), args.k)
         if u is None:
             print(json.dumps({"error": "input not longer than k"}))
             return 2

@@ -12,8 +12,10 @@ problem used elsewhere.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from . import dk
+from . import semigroups as sg
 from . import terms as tm
 from .corpus import all_semigroups_upto
 from .errors import UnsupportedShape
@@ -238,12 +240,27 @@ def _ilbf2_degenerate(u, img_content, length, is_word):
     return Ilbf2Result("finite", factors, q=q)
 
 
+def window_image(t, k):
+    """The window image phi_k of the pseudoword t, lifted from its normal
+    form canon(t) (None for the empty image).
+
+    phi_k is a function of the pseudoword, not of the term that spells it,
+    and canon holds in every finite semigroup, so this is the image of t
+    itself; a term and every term with the same normal form share one
+    lift and one set of factorization memo entries."""
+    return dk.phi_k_term(canon(t), k)
+
+
 def ilbf2(u, cap=60):
     """The induced factorization through phi_1: factors u_i with
     phi_1(u_i) the x-parts of ilbf(phi_1(u)), plus the final factor q.
 
     Words always come back finite; omega-terms may be infinite or unknown
-    (cap, at least 1, bounds the factors taken on a term)."""
+    (cap, at least 1, bounds the factors taken on a term).  A term's
+    window image is lifted from canon(u) (`window_image`): phi_1 reads the
+    pseudoword, canon holds in every finite semigroup and the left basic
+    factorization of a pseudoword is unique (Almeida & Zeitoun, TCS 2007),
+    so the outcome and a finite length are those of u as written."""
     if cap < 1:
         raise ValueError(f"the factorization cap must be at least 1, got {cap}")
     is_word = not isinstance(u, tm.Term)
@@ -262,13 +279,18 @@ def ilbf2(u, cap=60):
         else:
             q = (w[-1],)
         return Ilbf2Result("finite", factors, q=q)
-    img = dk.phi_k_term(u, 1)
+    img = window_image(u, 1)
     if img is None:
         raise ValueError("ilbf2 requires a term longer than 1")
-    img_content = tm.content(img)
-    res = ilbf_term(img, cap=cap)
+    return induced_factorization(u, img, ilbf_term(img, cap=cap))
+
+
+def induced_factorization(u, img, res):
+    """ilbf2's answer for the term u from res, an iterated left basic
+    factorization of its window image img at k = 1."""
     if res.outcome == "unknown":
         return Ilbf2Result("unknown", [], witness=res.cap)
+    img_content = tm.content(img)
     if len(img_content) == 1:
         return _ilbf2_degenerate(u, img_content, res.length, False)
     factors = [_unphi_term(x) if x is not None else None for (x, _a) in res.factors]
@@ -289,12 +311,17 @@ def ilbf2(u, cap=60):
 
 def ds_dk_regular(t, k):
     """Regularity over DS * D_k: Proved iff the iterated left basic
-    factorization of the window image is infinite, Refuted iff finite."""
+    factorization of the window image is infinite, Refuted iff finite.
+
+    A term's image is lifted from canon(t) (`window_image`): phi_k is a
+    function of the pseudoword, canon holds in every finite semigroup and
+    the left basic factorization of a pseudoword is unique (Almeida &
+    Zeitoun, TCS 2007), so the verdict is that of t as written."""
     if not isinstance(t, tm.Term):
         if not dk.phi_k(t, k).blocks:
             raise ValueError("ds_dk_regular requires input longer than k")
         return refuted("finite words have finite factorizations")
-    img = dk.phi_k_term(t, k)
+    img = window_image(t, k)
     if img is None:
         raise ValueError("ds_dk_regular requires a term longer than k")
     res = ilbf_term(img)
@@ -311,12 +338,25 @@ def _r_members():
     return tuple(S for S in all_semigroups_upto(4) if member(S, "R"))
 
 
-def _refuted_by_r_corpus(u, v):
+@cache
+def _regressive_monoid(n):
+    """The order-decreasing maps of an n-chain under composition: an
+    R-trivial monoid of order n!."""
+    maps = [f for f in product(range(n), repeat=n) if all(f[i] <= i for i in range(n))]
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[tuple(g[f[x]] for x in range(n))] for g in maps] for f in maps]
+    return sg.FiniteSemigroup(table, check=False)
+
+
+def _refuted_in_r(models, u, v):
+    """A model among `models`, all R-trivial, with an assignment that
+    separates u and v; None when none does or the pair has more than three
+    letters."""
     letters = tuple(sorted(tm.content(u) | tm.content(v), key=str))
     if len(letters) > 3:
         return None
     pi = tm.PseudoIdentity(u, v, letters)
-    for S in _r_members():
+    for S in models:
         ok, asg = tm.satisfies(S, pi, witness=True)
         if not ok:
             return {"semigroup": S, "assignment": asg}
@@ -347,7 +387,10 @@ def r_equal(u, v):
     p_N, which then absorbs on the right every letter of c(u); u and v
     both take the value of p_N.  A revisited pair thus needs no second
     unfolding.  Refutations past the corpus ("one side empty", differing
-    completing letters) rest on uniqueness alone and carry no model."""
+    completing letters) rest on uniqueness alone; they carry the
+    R-trivial monoid of order 120 (`_regressive_monoid(5)`) with a
+    separating assignment when it has one, and the reason text
+    otherwise."""
     memo = set()
 
     def go(x, y, depth):
@@ -384,7 +427,12 @@ def r_equal(u, v):
         v = tm.word_term(tm._as_word(v))
     if canon_equal(u, v):
         return PROVED
-    w = _refuted_by_r_corpus(u, v)
+    w = _refuted_in_r(_r_members(), u, v)
     if w is not None:
         return refuted(w)
-    return go(u, v, 0)
+    verdict = go(u, v, 0)
+    if verdict.refuted:
+        w = _refuted_in_r((_regressive_monoid(5),), u, v)
+        if w is not None:
+            return refuted(w)
+    return verdict

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from finsemi import dk
 from finsemi import factorization as fz
 from finsemi import pseudovarieties as pv
-from finsemi import semigroups as sg
 from finsemi import suites
 from finsemi import terms as tm
 from finsemi.pseudovarieties import member, proves_equal_over_S
@@ -15,14 +13,6 @@ from finsemi.pseudovarieties import member, proves_equal_over_S
 
 def T(text):
     return tm.parse_term(text)
-
-
-def regressive_monoid(n=4):
-    # order-decreasing functions on an n-chain: an R-trivial monoid of order n!
-    funcs = [f for f in product(range(n), repeat=n) if all(f[i] <= i for i in range(n))]
-    idx = {f: i for i, f in enumerate(funcs)}
-    table = [[idx[tuple(g[f[x]] for x in range(n))] for g in funcs] for f in funcs]
-    return sg.FiniteSemigroup(table, check=False)
 
 
 def test_lbf_word_examples():
@@ -242,8 +232,8 @@ def test_r_equal_examples():
 
 
 def test_r_equal_sound_against_large_r_member():
-    S = regressive_monoid()
-    assert member(S, "R")
+    S = fz._regressive_monoid(4)
+    assert S.order == 24 and member(S, "R")
     pairs = [
         ("(a b)^w", "(a b)^w b (a b)^w"),
         ("a^w (b a^w)^w", "(a^w b)^w a^w"),
@@ -303,31 +293,6 @@ def _factorization_terms():
     return pairs, terms
 
 
-# The raw route, the oracle of ilbf_term: the same loop, walking the
-# remainders cut from t as written instead of from canon(t).
-
-
-def _reference_ilbf_term(t, cap=60):
-    full = tm.content(t)
-    factors = []
-    seen = set()
-    rem = t
-    while True:
-        if rem is None:
-            return fz.IlbfResult("finite", factors, remainder=None)
-        if tm.content(rem) != full:
-            return fz.IlbfResult("finite", factors, remainder=rem)
-        sig = fz.term_signature(rem)
-        if sig in seen:
-            return fz.IlbfResult("infinite", factors, witness=sig)
-        if len(factors) == cap:
-            return fz.IlbfResult("unknown", factors, cap=cap)
-        seen.add(sig)
-        res = fz.lbf_term(rem)
-        factors.append((res.x, res.a))
-        rem = res.y
-
-
 def _decisions(t):
     """ilbf2 and ds_dk_regular at k = 1 as (outcome, length, witness).  An
     infinite factorization's witness is the first recurring signature; it
@@ -339,12 +304,21 @@ def _decisions(t):
     return (r.outcome, r.length, witness), (g.status, g.witness and g.witness.length)
 
 
-def test_ilbf_term_matches_the_raw_route(monkeypatch):
+def _raw_decisions(t):
+    """_decisions(t) by the raw route: the window image of t as written,
+    factorized along the remainders cut from it."""
+    r = suites._raw_ilbf2(t, cap=40)
+    witness = fz._zero_offsets(r.witness) if isinstance(r.witness, tm.Term) else r.witness
+    g = suites._raw_ilbf_term(dk.phi_k_term(t, 1))
+    status = {"infinite": "proved", "finite": "refuted", "unknown": "unknown"}[g.outcome]
+    return (r.outcome, r.length, witness), (status, g.length)
+
+
+def test_ilbf_term_matches_the_raw_route():
     pairs, terms = _factorization_terms()
     assert len(terms) >= 500
     new = {t: _decisions(t) for t in terms}
-    monkeypatch.setattr(fz, "ilbf_term", _reference_ilbf_term)
-    reference = {t: _decisions(t) for t in terms}
+    reference = {t: _raw_decisions(t) for t in terms}
     assert new == reference
     outcomes = [d[0][0] for d in new.values()]
     assert outcomes.count("finite") > 50 and outcomes.count("infinite") > 300
@@ -365,6 +339,9 @@ def _clear_memos():
     pv._absorb_memo.clear()
     fz.term_signature.cache_clear()
     fz.lbf_term.cache_clear()
+    fz._zero_offsets.cache_clear()
+    fz._lastmap.cache_clear()
+    dk.phi_k_term.cache_clear()
 
 
 def test_factorizations_do_not_depend_on_call_order():
@@ -384,10 +361,12 @@ def test_r_equal_proofs_hold_and_refutations_replay():
     pairs += [(suites._random_term(rng, "ab"), suites._random_term(rng, "ab"))
               for _ in range(150)]
     members = fz._r_members()
-    larger = regressive_monoid(5)
+    larger = fz._regressive_monoid(5)
+    assert larger.order == 120 and member(larger, "R")
     verdicts = [fz.r_equal(u, v) for u, v in pairs]
     statuses = [v.status for v in verdicts]
     assert statuses.count("proved") > 100 and statuses.count("refuted") > 100
+    past_the_corpus = 0
     for (u, v), verdict in zip(pairs, verdicts):
         pi = tm.pseudo_identity(u, v)
         if verdict.proved:
@@ -395,11 +374,12 @@ def test_r_equal_proofs_hold_and_refutations_replay():
             # a coinductive proof must also hold where the corpus is too small
             # to refute it
             assert pv.canon_equal(u, v) or tm.satisfies(larger, pi), tm.term_to_text(u)
-        elif verdict.refuted and isinstance(verdict.witness, dict):
+        elif verdict.refuted:
+            # every refutation carries a model, the order-120 monoid where
+            # the factorization comparison refuted past the corpus
+            assert isinstance(verdict.witness, dict), tm.term_to_text(u)
             S, asg = verdict.witness["semigroup"], verdict.witness["assignment"]
             assert tm.evaluate(u, S, asg) != tm.evaluate(v, S, asg)
             assert tm.satisfies(S, pi, witness=True) == (False, asg)
-        elif verdict.refuted:
-            # a refutation from the factorizations carries no model; the
-            # R-trivial monoid of order 120 separates the pair instead
-            assert not tm.satisfies(larger, pi), tm.term_to_text(u)
+            past_the_corpus += S is larger
+    assert past_the_corpus == 3
