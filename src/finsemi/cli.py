@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / property holds, 1 counterexample or negative
-answer, 2 usage error, 3 budget exceeded.  `malcev` exits on its verdict
-when only the optional witness search exceeds its budget.
+answer, 2 usage error, 3 budget exceeded.  `malcev` prints, for a member,
+the mu congruence that witnesses it and its quotient.
 """
 
 import argparse
@@ -84,17 +84,11 @@ def cmd_malcev(args):
     out = {"member": ok}
     if args.z not in ("N", "NvG"):
         out["mu_quotient_order"] = mv.mu_quotient(S, args.z).order
-    if ok:
-        # the witness search is optional: past its budget the verdict stands
-        try:
-            witness = mv.witness_homomorphism(S, args.z, V)
-        except BudgetExceeded as exc:
-            witness = None
-            out["witness_skipped"] = f"budget exceeded: {exc}"
-        if witness is not None:
-            c, Q = witness
-            out["witness"] = {"classes": [sorted(x) for x in c.classes],
-                              "quotient": Q.to_json_dict()}
+    witness = mv.mu_witness(S, args.z, V) if ok else None
+    if witness is not None:
+        c, Q = witness
+        out["witness"] = {"classes": [sorted(x) for x in c.classes],
+                          "quotient": Q.to_json_dict()}
     print(json.dumps(out))
     return 0 if ok else 1
 

@@ -161,12 +161,6 @@ class CorpusEntry:
             "flags": self.flags, "provenance": self.provenance,
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, line):
-        d = json.loads(line)
-        return cls(d["id"], d["order"], tuple(tuple(r) for r in d["table"]),
-                   d.get("flags", {}), d.get("provenance", "imported"))
-
 
 def _flags(S):
     g = S.green()
@@ -234,8 +228,3 @@ def write_jsonl(entries, path):
     with open(path, "w") as fh:
         for e in entries:
             fh.write(e.to_json() + "\n")
-
-
-def read_jsonl(path):
-    with open(path) as fh:
-        return [CorpusEntry.from_json(line) for line in fh if line.strip()]

@@ -57,10 +57,6 @@ class UnsupportedShape(FinsemiError):
     """Term surgery or window lifting could not normalize the input shape."""
 
 
-class NotRegular(FinsemiError):
-    pass
-
-
 class UnsupportedZ(FinsemiError):
     pass
 

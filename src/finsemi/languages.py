@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from . import semigroups as sg
 from .errors import OutOfRangeEntry, RegexSyntaxError
-from .pseudovarieties import get_pseudovariety, member
 
 
 @dataclass
@@ -312,12 +311,6 @@ def syntactic_semigroup(d):
     letter_of = {d.alphabet[a]: index[letter_maps[a]] for a in range(len(d.alphabet))}
     accepting = frozenset(i for i, mp in enumerate(maps) if mp[d.initial] in d.finals)
     return SyntacticSemigroup(S, tuple(maps), letter_of, accepting)
-
-
-def language_variety_member(d, V):
-    if isinstance(V, str):
-        V = get_pseudovariety(V)
-    return member(syntactic_semigroup(d).semigroup, V)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ a Cayley table and J alone, and cached on S by (Z, J).  The mu_Z
 congruence is the kernel of the tuple of labels over all regular
 J-classes, and its quotient decides membership in Z m V for Z in the
 eight-element family handled here; N and N v G route through
-intersections of the K/D (resp. K v G / D v G) sides.
+intersections of the K/D (resp. K v G / D v G) sides.  The same
+congruence is the witness of a member (mu_witness).
 """
 
 from . import semigroups as sg
 from . import terms as tm
-from .errors import NotRegular, UnsupportedZ
+from .errors import UnsupportedZ
 from .pseudovarieties import get_pseudovariety, member, word_problem_equal
 
 V_SET = ("LI", "K", "D", "N", "LG", "KvG", "DvG", "NvG")
@@ -80,18 +81,6 @@ def _mu_zj_labels(S, J, Z):
     return lab
 
 
-def mu_zj(S, j, Z):
-    """The mu_{Z,J} congruence for the regular J-class with id j: kernel of
-    the canonical map of S onto the right mapping (K), right letter
-    mapping (K v G), generalized group mapping (LI), or AGGM (LG)
-    semigroup of the J-class, or the dual constructions for D and D v G.
-    Raises NotRegular when the J-class has no idempotent."""
-    g = S.green()
-    if j not in g.regular_j:
-        raise NotRegular(f"J-class {j} has no idempotent")
-    return sg.Congruence(S, _mu_zj_labels(S, g.j_classes[j], Z), check=False)
-
-
 def mu_z(S, Z):
     """Meet of the mu_{Z,J} kernels over all regular J-classes."""
     g = S.green()
@@ -145,21 +134,8 @@ def locality_commutation_check(S, Z, V):
     return side_locals == side_mu
 
 
-def ladder_member(S, family, m):
-    """The R_m / L_m ladder: R_1 = L_1 = Sl, R_{m+1} = K m L_m,
-    L_{m+1} = D m R_m."""
-    if family not in ("R_m", "L_m"):
-        raise ValueError("family must be 'R_m' or 'L_m'")
-    if m < 1:
-        raise ValueError("ladder starts at m = 1")
-    if m == 1:
-        return member(S, "Sl")
-    Z, other = ("K", "L_m") if family == "R_m" else ("D", "R_m")
-    return malcev_member_with(S, Z, lambda T: ladder_member(T, other, m - 1))
-
-
 # ---------------------------------------------------------------------------
-# Pin-Weil refutation and witness search
+# Membership certificates: the mu witness and the Pin-Weil refutation
 
 PINWEIL_BUDGET = 4000  # substituted basis identities tried per search
 
@@ -207,25 +183,29 @@ def pinweil_refute(S, z_basis, V):
     return None
 
 
-def witness_homomorphism(S, Z, V):
-    """A congruence whose quotient is in V with every idempotent-class
-    preimage in Z, or None.  Exact up to sg.CONGRUENCE_MAX_ORDER."""
+def mu_witness(S, Z, V):
+    """A witness of S in Z m V, as (c, S/c) for a congruence c whose
+    quotient is in V and whose idempotent classes, as subsemigroups of S,
+    are in Z; None when c fails either check (Pin & Weil, "Profinite
+    semigroups, Mal'cev products and identities", J. Algebra 1996).
+
+    c is mu_Z, or for N (N v G) the meet of the K and D (K v G and D v G)
+    kernels, so S/c is a subdirect product of the quotients that
+    malcev_member reads.  Both conditions are checked by member, not read
+    off mu."""
     if isinstance(V, str):
         V = get_pseudovariety(V)
-    z_def = get_pseudovariety(Z) if isinstance(Z, str) else Z
-    for c in sg.congruences(S):
-        Q = sg.quotient(S, c)
-        if not member(Q, V):
-            continue
-        ok = True
-        for e in Q.idempotents():
-            cls = sorted(c.classes[e])
-            idx = {x: i for i, x in enumerate(cls)}
-            sub = sg.FiniteSemigroup(
-                [[idx[S.table[x][y]] for y in cls] for x in cls], check=False)
-            if not member(sub, z_def):
-                ok = False
-                break
-        if ok:
-            return (c, Q)
-    return None
+    comps = {"N": ("K", "D"), "NvG": ("KvG", "DvG")}.get(Z, (Z,))
+    c = sg.Congruence(S, zip(*[mu_z(S, z).class_of for z in comps]), check=False)
+    Q = sg.quotient(S, c)
+    if not member(Q, V):
+        return None
+    z_def = get_pseudovariety(Z)
+    for e in Q.idempotents():
+        cls = sorted(c.classes[e])
+        idx = {x: i for i, x in enumerate(cls)}
+        sub = sg.FiniteSemigroup(
+            [[idx[S.table[x][y]] for y in cls] for x in cls], check=False)
+        if not member(sub, z_def):
+            return None
+    return c, Q

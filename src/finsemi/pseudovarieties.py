@@ -12,7 +12,7 @@ to a normal form using only rules valid in every finite semigroup, and
 inequality is witnessed by model checking over small semigroups.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 from . import semigroups as sg
@@ -382,8 +382,6 @@ class PseudovarietyDef:
     basis: tuple  # of PseudoIdentity
     word_problem: str | None = None
     word_problem_bound: int | None = None
-    dual_of: str | None = None
-    monoidal: bool = False
     has_nontrivial_monoid: bool = True
 
     # consistent with the generated __eq__, and cheap: the generated hash
@@ -413,67 +411,56 @@ def _build_catalog():
     def add(defn):
         cat[defn.name] = defn
 
-    add(PseudovarietyDef("I", (tm.parse_identity("x1 = x2"),), monoidal=True,
+    add(PseudovarietyDef("I", (tm.parse_identity("x1 = x2"),),
                          has_nontrivial_monoid=False))
     add(PseudovarietyDef("Sl", (tm.parse_identity("x1 x1 = x1"),
                                 tm.parse_identity("x1 x2 = x2 x1")),
-                         word_problem="SL_CONTENT", monoidal=True, dual_of="Sl"))
+                         word_problem="SL_CONTENT"))
     k_basis = (tm.parse_identity("x1^w x2 = x1^w"),)
-    add(PseudovarietyDef("K", k_basis, word_problem="K_PREFIX", dual_of="D",
+    add(PseudovarietyDef("K", k_basis, word_problem="K_PREFIX",
                          has_nontrivial_monoid=False))
     d_basis = tuple(_chi_identity(p) for p in k_basis)
-    add(PseudovarietyDef("D", d_basis, word_problem="D_SUFFIX", dual_of="K",
+    add(PseudovarietyDef("D", d_basis, word_problem="D_SUFFIX",
                          has_nontrivial_monoid=False))
     add(PseudovarietyDef("N", k_basis + d_basis, word_problem="N_FINITE",
-                         dual_of="N", has_nontrivial_monoid=False))
+                         has_nontrivial_monoid=False))
     kg_basis = (tm.parse_identity("x1^w x2^w = x1^w"),)
     dg_basis = tuple(_chi_identity(p) for p in kg_basis)
-    add(PseudovarietyDef("KvG", kg_basis, dual_of="DvG"))
-    add(PseudovarietyDef("DvG", dg_basis, dual_of="KvG"))
-    add(PseudovarietyDef("NvG", kg_basis + dg_basis, dual_of="NvG"))
+    add(PseudovarietyDef("KvG", kg_basis))
+    add(PseudovarietyDef("DvG", dg_basis))
+    add(PseudovarietyDef("NvG", kg_basis + dg_basis))
     add(PseudovarietyDef("LI", (tm.parse_identity("x1^w x2 x1^w = x1^w"),),
-                         dual_of="LI", has_nontrivial_monoid=False))
-    add(PseudovarietyDef("LG", (tm.parse_identity("(x1^w x2 x1^w)^w = x1^w"),),
-                         dual_of="LG"))
+                         has_nontrivial_monoid=False))
+    add(PseudovarietyDef("LG", (tm.parse_identity("(x1^w x2 x1^w)^w = x1^w"),)))
     for p in (2, 3):
         add(PseudovarietyDef(f"LG_{p}",
-                             (tm.parse_identity(f"(x1^w x2 x1^w)^({p}^w) = x1^w"),),
-                             dual_of=f"LG_{p}"))
-    add(PseudovarietyDef("A", (tm.parse_identity("x2^w = x2^(w+1)"),),
-                         monoidal=True, dual_of="A"))
+                             (tm.parse_identity(f"(x1^w x2 x1^w)^({p}^w) = x1^w"),)))
+    add(PseudovarietyDef("A", (tm.parse_identity("x2^w = x2^(w+1)"),)))
     g_basis = (tm.parse_identity("x1^w x2 = x2"),
                tm.parse_identity("x2 x1^w = x2"))
-    add(PseudovarietyDef("G", g_basis, word_problem="G_FREEGROUP",
-                         monoidal=True, dual_of="G"))
+    add(PseudovarietyDef("G", g_basis, word_problem="G_FREEGROUP"))
     for p in (2, 3):
         add(PseudovarietyDef(f"G_{p}",
-                             g_basis + (tm.parse_identity(f"x1^({p}^w) = x1^w"),),
-                             monoidal=True, dual_of=f"G_{p}"))
+                             g_basis + (tm.parse_identity(f"x1^({p}^w) = x1^w"),)))
     r_basis = (tm.parse_identity("(x1 x2)^w x1 = (x1 x2)^w"),)
     l_basis = tuple(_chi_identity(p) for p in r_basis)
-    add(PseudovarietyDef("R", r_basis, word_problem="R_LBF", monoidal=True,
-                         dual_of="L"))
-    add(PseudovarietyDef("L", l_basis, monoidal=True, dual_of="R"))
-    add(PseudovarietyDef("J", r_basis + l_basis, monoidal=True, dual_of="J"))
+    add(PseudovarietyDef("R", r_basis, word_problem="R_LBF"))
+    add(PseudovarietyDef("L", l_basis))
+    add(PseudovarietyDef("J", r_basis + l_basis))
     ds_basis = (
         tm.parse_identity("((x1 x2)^w (x2 x1)^w (x1 x2)^w)^w = (x1 x2)^w"),)
-    add(PseudovarietyDef("DS", ds_basis, monoidal=True, dual_of="DS"))
-    add(PseudovarietyDef("DA", ds_basis + (tm.parse_identity("x2^w = x2^(w+1)"),),
-                         monoidal=True, dual_of="DA"))
-    add(PseudovarietyDef("DG", (tm.parse_identity("(x1 x2)^w = (x2 x1)^w"),),
-                         monoidal=True, dual_of="DG"))
+    add(PseudovarietyDef("DS", ds_basis))
+    add(PseudovarietyDef("DA", ds_basis + (tm.parse_identity("x2^w = x2^(w+1)"),)))
+    add(PseudovarietyDef("DG", (tm.parse_identity("(x1 x2)^w = (x2 x1)^w"),)))
     for k in range(1, 5):
         dk = (_dk_identity(k),)
         kk = tuple(_chi_identity(p) for p in dk)
         add(PseudovarietyDef(f"D_{k}", dk, word_problem="BOUNDED_SUFFIX",
-                             word_problem_bound=k, dual_of=f"K_{k}",
-                             has_nontrivial_monoid=False))
+                             word_problem_bound=k, has_nontrivial_monoid=False))
         add(PseudovarietyDef(f"K_{k}", kk, word_problem="BOUNDED_PREFIX",
-                             word_problem_bound=k, dual_of=f"D_{k}",
-                             has_nontrivial_monoid=False))
+                             word_problem_bound=k, has_nontrivial_monoid=False))
         add(PseudovarietyDef(f"N_{k}", dk + kk, word_problem="BOUNDED_WORD",
-                             word_problem_bound=k, dual_of=f"N_{k}",
-                             has_nontrivial_monoid=False))
+                             word_problem_bound=k, has_nontrivial_monoid=False))
     return cat
 
 
@@ -503,24 +490,13 @@ def member(S, V):
     return verdict
 
 
-def dual_pseudovariety(V):
-    """The dual pseudovariety: chi-image basis, with the dual link set."""
-    if isinstance(V, str):
-        V = get_pseudovariety(V)
-    if V.dual_of and V.dual_of in CATALOG:
-        return CATALOG[V.dual_of]
-    return replace(V, name=f"{V.name}^op",
-                   basis=tuple(_chi_identity(p) for p in V.basis),
-                   dual_of=V.name)
-
-
 def load_pseudovariety(d):
-    """Pseudovariety from a JSON dict {"name", "basis": [{"lhs","rhs"}], "dual_of"}."""
+    """Pseudovariety from a JSON dict {"name", "basis": [{"lhs","rhs"}]}."""
     basis = tuple(
         tm.pseudo_identity(tm.parse_term(b["lhs"]), tm.parse_term(b["rhs"]))
         for b in d["basis"]
     )
-    return PseudovarietyDef(d["name"], basis, dual_of=d.get("dual_of"))
+    return PseudovarietyDef(d["name"], basis)
 
 
 # ---------------------------------------------------------------------------
@@ -686,15 +662,3 @@ def is_right_permanent(pi):
     in every finite semigroup (unconfirmed against the paper, as there),
     with v absorbed on the right (v = vu)."""
     return _check_permanence(pi, "right")
-
-
-def is_permanent(pi):
-    left = is_left_permanent(pi)
-    if left.proved:
-        return left
-    right = is_right_permanent(pi)
-    if right.proved:
-        return right
-    if left.refuted and right.refuted:
-        return left
-    return UNKNOWN

@@ -1,8 +1,8 @@
 """Finite semigroup kernel.
 
 Semigroups are multiplication tables over dense element indices 0..n-1.
-Everything downstream (Green's relations, quotients, duals, products,
-division search, the named catalog) works on this representation.
+Everything downstream (Green's relations, quotients, duals, the named
+catalog) works on this representation.
 Instances are immutable after construction; derived data (Green's
 structure, idempotents, each element's index, period and omega power,
 canonical form, local monoids, and the mu labels, mu quotients and
@@ -12,7 +12,7 @@ read, and cached on the instance it is derived from.
 
 import math
 from functools import cache, cached_property
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .errors import (
     BudgetExceeded,
@@ -226,7 +226,7 @@ class GreenData:
     D-classes, D = R o L, which equals J in a finite semigroup (Froidure &
     Pin, "Algorithms for computing finite semigroups", 1997; East,
     Egri-Nagy, Mitchell & Peresse, "Computing finite semigroups", JSC
-    2019).  The J-order is not kept: j_order(S) computes it.
+    2019).
     """
 
     def __init__(self, r_class_of, l_class_of, j_class_of, regular_j):
@@ -303,25 +303,6 @@ def _compute_green(S):
     return GreenData(r_of, l_of, j_of, regular_j)
 
 
-def j_order(S):
-    """The J-order of S as the pairs (i, j) of J-class ids with J_i <= J_j,
-    computed on each call from one ideal S^1 y S^1 per J-class: the union
-    of the right ideals zS^1 over z in S^1 y, y the least element of the
-    class."""
-    t = S.table
-    g = S.green()
-    j_of = g.j_class_of
-    cols = tuple(zip(*t))
-    order = set()
-    for jj, y in enumerate(least_elements(j_of)):
-        below = set()
-        for z in {y, *cols[y]}:
-            below.add(z)
-            below.update(t[z])
-        order.update((j_of[z], jj) for z in below)
-    return frozenset(order)
-
-
 def local_monoid(S, e):
     """The local monoid eSe, as a FiniteSemigroup with identity e; cached on S."""
     M = S._derived.get(e)
@@ -341,20 +322,6 @@ def dual(S):
     n = S.order
     table = [[S.table[y][x] for y in range(n)] for x in range(n)]
     return FiniteSemigroup(table, labels=S.labels, generators=S.generators, check=False)
-
-
-def direct_product(S, T):
-    n, m = S.order, T.order
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for (x1, y1) in product(range(n), range(m)):
-        a = x1 * m + y1
-        for (x2, y2) in product(range(n), range(m)):
-            b = x2 * m + y2
-            table[a][b] = S.table[x1][x2] * m + T.table[y1][y2]
-    labels = None
-    if S.labels and T.labels:
-        labels = [f"({S.label(x)},{T.label(y)})" for x in range(n) for y in range(m)]
-    return FiniteSemigroup(table, labels=labels, check=False)
 
 
 class Congruence:
@@ -390,50 +357,11 @@ class Congruence:
                     return False
         return True
 
-    # class_of determines the partition, and the partition determines it
-    def __eq__(self, other):
-        return isinstance(other, Congruence) and self.class_of == other.class_of
-
-    def __hash__(self):
-        return hash(self.class_of)
-
     def __len__(self):
         return max(self.class_of) + 1
 
     def is_identity(self):
         return len(self) == self.semigroup.order
-
-
-def identity_congruence(S):
-    return Congruence(S, range(S.order), check=False)
-
-
-def congruence_from_pairs(S, pairs):
-    """Smallest congruence containing the given element pairs."""
-    parent = list(range(S.order))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[rb] = ra
-        return True
-
-    queue = [p for p in pairs if union(*p)]
-    while queue:
-        x, y = queue.pop()
-        for s in range(S.order):
-            for a, b in ((S.table[s][x], S.table[s][y]), (S.table[x][s], S.table[y][s])):
-                if find(a) != find(b):
-                    union(a, b)
-                    queue.append((a, b))
-    return Congruence(S, [find(x) for x in range(S.order)], check=False)
 
 
 def quotient(S, cong):
@@ -459,14 +387,7 @@ def adjoin_identity(S):
     return FiniteSemigroup(table, labels=labels, check=False)
 
 
-def adjoin_identity_if_missing(S):
-    """S^1: adjoin an identity only when S is not already a monoid."""
-    return S if S.is_monoid() else adjoin_identity(S)
-
-
 CLOSURE_BUDGET = 4096
-DIVIDES_BUDGET = 200_000  # assignments |T|^m tried by divides
-WREATH_BUDGET = 200_000  # elements of a wreath product
 
 
 def closure(gens, mul):
@@ -500,86 +421,12 @@ def cayley(elems, index, mul):
     return [[index[mul(x, y)] for y in elems] for x in elems]
 
 
-def generate(ambient, subset):
-    """Subsemigroup of `ambient` generated by `subset`, reindexed."""
-    subset = list(subset)
-    if not subset:
-        raise ValueError("generate requires a nonempty subset")
-    elems = sorted(closure(subset, ambient.mul)[0])
-    idx = {x: i for i, x in enumerate(elems)}
-    labels = [ambient.label(x) for x in elems] if ambient.labels else None
-    gens = [idx[x] for x in subset]
-    return FiniteSemigroup(cayley(elems, idx, ambient.mul), labels=labels,
-                           generators=gens, check=False)
-
-
-def minimal_generating_set(S):
-    """A smallest generating subset (exhaustive over sizes; order <= ~8)."""
-    n = S.order
-    # Elements that are not products must belong to every generating set.
-    products = {S.table[x][y] for x in range(n) for y in range(n)}
-    forced = [x for x in range(n) if x not in products]
-
-    def closes(gens):
-        return len(closure(gens, S.mul)[0]) == n
-
-    rest = [x for x in range(n) if x not in forced]
-    if closes(forced):
-        return tuple(forced)
-    for k in range(1, len(rest) + 1):
-        for extra in combinations(rest, k):
-            if closes(forced + list(extra)):
-                return tuple(forced + list(extra))
-    return tuple(range(n))
-
-
-def extends_to_homomorphism(A, B, pairs):
-    """Whether the map a_i -> b_i, for (a_i, b_i) in `pairs`, extends to a
-    homomorphism from the subsemigroup of A generated by the a_i into B.
-
-    The pair closure {(a_i, b_i)} is grown inside A x B; the map extends
-    iff the closure stays functional in its first coordinate."""
-    image = {}
-    for a, b in pairs:
-        if image.setdefault(a, b) != b:
-            return False
-    frontier = list(image.items())
-    while frontier:
-        new = []
-        items = list(image.items())
-        for (a1, b1) in frontier:
-            for (a2, b2) in items:
-                for (ap, bp) in ((A.table[a1][a2], B.table[b1][b2]),
-                                 (A.table[a2][a1], B.table[b2][b1])):
-                    prev = image.get(ap)
-                    if prev is None:
-                        image[ap] = bp
-                        new.append((ap, bp))
-                    elif prev != bp:
-                        return False
-        frontier = new
-    return True
-
-
-def divides(S, T):
-    """Whether S divides T: some subsemigroup of T maps onto S, i.e. some
-    assignment of T-elements to a generating tuple of S extends to a
-    homomorphism."""
-    if S.order > T.order:
-        return False
-    gens = minimal_generating_set(S)
-    m = len(gens)
-    if T.order ** m > DIVIDES_BUDGET:
-        raise BudgetExceeded(f"divides search |T|^{m} = {T.order ** m} exceeds "
-                             f"{DIVIDES_BUDGET}")
-    return any(extends_to_homomorphism(T, S, zip(tup, gens))
-               for tup in product(range(T.order), repeat=m))
-
-
 def wreath_mul(T, D, x, y):
-    """The product of two elements of T wr D (see wreath_product):
-    (f, d)(g, e) = (h, de) with h(s) = f(s) g(sd), where f, g are tuples
-    over the states of D^I and the adjoined identity is state |D|."""
+    """The product of two elements of the wreath product T wr D, the
+    semidirect product T^(D^I) x| D with D acting on D^I by right
+    translation: (f, d)(g, e) = (h, de) with h(s) = f(s) g(sd), where f, g
+    are tuples over the states of D^I and the adjoined identity is state
+    |D|."""
     (f, d), (g, e) = x, y
     nd = D.order
     h = tuple(T.table[f[s]][g[d if s == nd else D.table[s][d]]]
@@ -587,43 +434,6 @@ def wreath_mul(T, D, x, y):
     return (h, D.table[d][e])
 
 
-def wreath_product(T, D):
-    """The wreath product T^(D^I) x| D, with D acting by right translation.
-
-    Elements are pairs (f, d) with f a function D^I -> T, multiplied by
-    wreath_mul.  The identity I is always adjoined to the action set,
-    matching the size bound |T|^(|D|+1) * |D|.
-    """
-    nd = D.order
-    order = (T.order ** (nd + 1)) * nd
-    if order > WREATH_BUDGET:
-        raise BudgetExceeded(f"wreath product order {order} exceeds {WREATH_BUDGET}")
-    elems = [(f, d) for f in product(range(T.order), repeat=nd + 1) for d in range(nd)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[wreath_mul(T, D, x, y)] for y in elems] for x in elems]
-    return FiniteSemigroup(table, check=False)
-
-
-def congruences(S):
-    """All congruences of S, by number of classes and then by classes:
-    the identity congruence and the closure of the principal congruences
-    under join (every congruence is a join of principal ones)."""
-    if S.order > CONGRUENCE_MAX_ORDER:
-        raise BudgetExceeded(f"congruence search on order {S.order} exceeds "
-                             f"{CONGRUENCE_MAX_ORDER}")
-
-    def join(c1, c2):
-        pairs = [(min(cls), x) for cls in c1.classes + c2.classes for x in cls]
-        return congruence_from_pairs(S, pairs)
-
-    principal = [congruence_from_pairs(S, [(a, b)])
-                 for a in range(S.order) for b in range(a + 1, S.order)]
-    found = set(closure(principal, join)[0])
-    found.add(identity_congruence(S))
-    yield from sorted(found, key=lambda c: (len(c), [sorted(cls) for cls in c.classes]))
-
-
-CONGRUENCE_MAX_ORDER = 10
 CANON_MAX_ORDER = 8
 
 
@@ -658,10 +468,6 @@ def _inverse(perm):
 
 def is_isomorphic(S, T):
     return S.order == T.order and canonical_table(S) == canonical_table(T)
-
-
-def is_anti_isomorphic(S, T):
-    return S.order == T.order and canonical_table(S) == canonical_table(dual(T))
 
 
 # ---------------------------------------------------------------------------

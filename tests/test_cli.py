@@ -56,19 +56,33 @@ def test_malcev(capsys, lz2_file, b2_file):
     assert main(["malcev", "--z", "LG", "--v", "Sl", "--input", b2_file]) == 1
 
 
-def test_malcev_past_the_witness_budget_reports_the_verdict(capsys, tmp_path):
-    # left_zero(11) is in K m Sl, but the congruence search behind the
-    # witness stops at order CONGRUENCE_MAX_ORDER = 10
+def test_malcev_witness_has_no_order_cap(capsys, tmp_path):
+    # left_zero(11) is in K m Sl; its witness is mu_K, read with no search
     path = tmp_path / "lz11.json"
     path.write_text(json.dumps(sg.catalog("left_zero", 11).to_json_dict()))
     assert main(["malcev", "--z", "K", "--v", "Sl", "--input", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"member": True, "mu_quotient_order": 1,
-                   "witness_skipped": "budget exceeded: congruence search on "
-                                      "order 11 exceeds 10"}
+                   "witness": {"classes": [list(range(11))],
+                               "quotient": {"order": 1, "table": [[0]]}}}
     assert main(["malcev", "--z", "D", "--v", "Sl", "--input", str(path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"member": False,
                                                     "mu_quotient_order": 11}
+
+
+def test_malcev_n_witness_replays(capsys, tmp_path):
+    # N_3 on two letters with an identity adjoined is J-trivial, so in
+    # J = N m Sl; its witness meets the K and D kernels
+    S = sg.adjoin_identity(sg.catalog("free_n", 3, "ab"))
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps(S.to_json_dict()))
+    assert main(["malcev", "--z", "N", "--v", "Sl", "--input", str(path)]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    classes = witness["classes"]
+    assert len(classes) == 2
+    keys = [next(i for i, cls in enumerate(classes) if x in cls) for x in range(S.order)]
+    c = sg.Congruence(S, keys, check=True)
+    assert [list(row) for row in sg.quotient(S, c).table] == witness["quotient"]["table"]
 
 
 def test_phi(capsys):

@@ -291,6 +291,8 @@ def test_term_verdicts_in_materialized_wreaths():
     # theorem-level validation on omega-terms: proved pairs hold in real
     # wreath products T wr D with T in the V-corpus, and a refuted pair is
     # refuted by a concrete wreath
+    from test_semigroups import wreath_product
+
     from finsemi.corpus import all_semigroups_upto
     from finsemi.pseudovarieties import member
     corpus2 = all_semigroups_upto(2)
@@ -306,12 +308,12 @@ def test_term_verdicts_in_materialized_wreaths():
         u, v = tm.parse_term(lhs), tm.parse_term(rhs)
         assert dk.vdk_satisfies(Vn, 1, u, v).proved
         for T in (S for S in corpus2 if member(S, Vn)):
-            W = sg.wreath_product(T, D)
+            W = wreath_product(T, D)
             assert tm.satisfies(W, tm.pseudo_identity(u, v)), (lhs, rhs, Vn)
     u, v = tm.parse_term("(a b)^w a b"), tm.parse_term("(a b)^w")
     assert dk.vdk_satisfies("G", 1, u, v).refuted
     refuting = [T for T in corpus2 if member(T, "G")
-                and not tm.satisfies(sg.wreath_product(T, D),
+                and not tm.satisfies(wreath_product(T, D),
                                      tm.pseudo_identity(u, v))]
     assert refuting
 

@@ -67,10 +67,13 @@ def test_syntactic_eval_is_homomorphism():
 
 
 def test_language_variety_member():
-    assert not lg.language_variety_member(lg.parse_regex("(ab)+"), "DS")
+    def syntactic_member(d, V):
+        return member(lg.syntactic_semigroup(d).semigroup, V)
+
+    assert not syntactic_member(lg.parse_regex("(ab)+"), "DS")
     d = lg.parse_regex("(a|b)*a(a|b)*", alphabet="ab")
-    assert lg.language_variety_member(d, "Sl")
-    assert lg.language_variety_member(lg.parse_regex("(a|b)+"), "I")
+    assert syntactic_member(d, "Sl")
+    assert syntactic_member(lg.parse_regex("(a|b)+"), "I")
 
 
 def test_marked_product_language():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from finsemi import malcev as mv
@@ -5,7 +7,7 @@ from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
 from finsemi import terms as tm
 from finsemi.corpus import all_semigroups_upto
-from finsemi.errors import NotRegular, UnsupportedZ
+from finsemi.errors import UnsupportedZ
 
 
 def big_j(S):
@@ -17,15 +19,21 @@ def regular_js(S):
     return sorted(S.green().regular_j)
 
 
+def mu_zj(S, j, Z):
+    """The mu_{Z,J} congruence for the regular J-class with id j."""
+    return sg.Congruence(S, mv._mu_zj_labels(S, S.green().j_classes[j], Z),
+                         check=False)
+
+
 def test_mu_zj_b2_li_identity():
     B2 = sg.catalog("B2")
-    c = mv.mu_zj(B2, big_j(B2), "LI")
+    c = mu_zj(B2, big_j(B2), "LI")
     assert c.is_identity()
 
 
 def test_mu_zj_group_k_identity():
     C3 = sg.catalog("cyclic", 3)
-    c = mv.mu_zj(C3, big_j(C3), "K")
+    c = mu_zj(C3, big_j(C3), "K")
     assert c.is_identity()
 
 
@@ -33,16 +41,8 @@ def test_mu_zj_null_collapses():
     S = sg.catalog("null", 2)
     g = S.green()
     (j0,) = sorted(g.regular_j)  # only {0} is regular
-    c = mv.mu_zj(S, j0, "K")
+    c = mu_zj(S, j0, "K")
     assert len(c) == 1  # everything acts as zero
-
-
-def test_mu_zj_not_regular():
-    S = sg.catalog("null", 2)
-    g = S.green()
-    bad = next(j for j in range(len(g.j_classes)) if j not in g.regular_j)
-    with pytest.raises(NotRegular):
-        mv.mu_zj(S, bad, "K")
 
 
 def test_mu_z_unsupported():
@@ -57,14 +57,19 @@ def test_mu_z_left_zero_collapses_for_k():
 
 
 def test_mu_quotient_subdirect_of_per_j_images():
-    # quotient(S, mu_z(S, LI)) divides the product of per-J GGM images
+    # S / mu_LI embeds in the product of the per-J GGM images S / mu_{LI,J}:
+    # the map sending a class to its per-J classes is injective and
+    # multiplicative
     for S in [sg.catalog("B2_1"), sg.catalog("U1"), sg.catalog("free_band_2")]:
         Q = mv.mu_quotient(S, "LI")
-        prod = None
-        for j in regular_js(S):
-            img = sg.quotient(S, mv.mu_zj(S, j, "LI"))
-            prod = img if prod is None else sg.direct_product(prod, img)
-        assert sg.divides(Q, prod)
+        per_j = [mu_zj(S, j, "LI") for j in regular_js(S)]
+        images = [sg.quotient(S, c) for c in per_j]
+        embed = [tuple(c.class_of[x] for c in per_j)
+                 for x in sg.least_elements(mv.mu_z(S, "LI").class_of)]
+        assert len(set(embed)) == Q.order
+        for a, b in product(range(Q.order), repeat=2):
+            assert embed[Q.table[a][b]] == tuple(
+                I.table[u][v] for I, u, v in zip(images, embed[a], embed[b]))
 
 
 def test_malcev_member_examples():
@@ -109,10 +114,10 @@ def test_faithfulness_of_mu_zj_quotients():
         for j in regular_js(S):
             x = min(S.green().j_classes[j])
             for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
-                c = mv.mu_zj(S, j, Z)
+                c = mu_zj(S, j, Z)
                 Q = sg.quotient(S, c)
                 qj = Q.green().j_class_of[c.class_of[x]]
-                assert mv.mu_zj(Q, qj, Z).is_identity(), (S.table, Z)
+                assert mu_zj(Q, qj, Z).is_identity(), (S.table, Z)
 
 
 def test_local_monoids_of_mu_zj_images_are_z_semigroups():
@@ -122,7 +127,7 @@ def test_local_monoids_of_mu_zj_images_are_z_semigroups():
         for j in regular_js(S):
             x = min(S.green().j_classes[j])
             for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
-                c = mv.mu_zj(S, j, Z)
+                c = mu_zj(S, j, Z)
                 Q = sg.quotient(S, c)
                 jbar_id = Q.green().j_class_of[c.class_of[x]]
                 jbar = Q.green().j_classes[jbar_id]
@@ -137,7 +142,7 @@ def test_local_monoids_of_mu_zj_images_are_z_semigroups():
                     jm = g.j_class_of[Mi[inter[0]]]
                     if jm not in g.regular_j:
                         continue
-                    assert mv.mu_zj(M["sgp"], jm, Z).is_identity()
+                    assert mu_zj(M["sgp"], jm, Z).is_identity()
 
 
 def _local_with_map(S, e):
@@ -165,27 +170,32 @@ def test_mu_duality():
         assert sg.is_isomorphic(lhs, rhs)
 
 
+def ladder_member(S, family, m):
+    """The R_m / L_m ladder: R_1 = L_1 = Sl, R_{m+1} = K m L_m,
+    L_{m+1} = D m R_m."""
+    if m == 1:
+        return pv.member(S, "Sl")
+    Z, other = ("K", "L_m") if family == "R_m" else ("D", "R_m")
+    return mv.malcev_member_with(S, Z, lambda T: ladder_member(T, other, m - 1))
+
+
 def test_ladder():
     lz = sg.catalog("left_zero", 2)
-    assert mv.ladder_member(lz, "R_m", 2)
-    assert not mv.ladder_member(lz, "L_m", 2)
+    assert ladder_member(lz, "R_m", 2)
+    assert not ladder_member(lz, "L_m", 2)
     C2 = sg.catalog("cyclic", 2)
     for m in range(1, 5):
-        assert not mv.ladder_member(C2, "R_m", m)
+        assert not ladder_member(C2, "R_m", m)
     # R_2 = R on the small corpus
     for S in all_semigroups_upto(3):
-        assert mv.ladder_member(S, "R_m", 2) == pv.member(S, "R")
-    # the family is checked at every m, m = 1 included
-    for m in (1, 2):
-        with pytest.raises(ValueError):
-            mv.ladder_member(lz, "bogus", m)
+        assert ladder_member(S, "R_m", 2) == pv.member(S, "R")
 
 
 def test_ladder_covers_da_on_corpus():
     # every corpus member of DA is reached by level 4; non-members never are
     for S in all_semigroups_upto(4):
         in_da = pv.member(S, "DA")
-        reached = any(mv.ladder_member(S, "R_m", m) for m in range(1, 5))
+        reached = any(ladder_member(S, "R_m", m) for m in range(1, 5))
         assert reached == in_da
 
 
@@ -213,30 +223,56 @@ def test_pinweil_trivial():
     assert mv.pinweil_refute(sg.catalog("trivial"), K.basis, "Sl") is None
 
 
-def test_witness_homomorphism():
-    lz = sg.catalog("left_zero", 2)
-    w = mv.witness_homomorphism(lz, "K", "Sl")
-    assert w is not None
-    assert not pv.member(sg.catalog("B2"), "R")
-    assert mv.witness_homomorphism(sg.catalog("B2"), "K", "Sl") is None
-    # S already in V: identity-preimage witness when Z contains the trivial
-    U1 = sg.catalog("U1")
-    assert mv.witness_homomorphism(U1, "K", "Sl") is not None
+def _class_semigroup(S, cls):
+    """The subsemigroup of S on the elements of a closed class."""
+    cls = sorted(cls)
+    idx = {x: i for i, x in enumerate(cls)}
+    return sg.FiniteSemigroup([[idx[S.table[x][y]] for y in cls] for x in cls])
+
+
+def _is_witness(S, c, Z, V):
+    """Whether S / c is in V and every idempotent class of c is in Z."""
+    Q = sg.quotient(S, c)
+    return pv.member(Q, V) and all(pv.member(_class_semigroup(S, c.classes[e]), Z)
+                                   for e in Q.idempotents())
+
+
+def test_mu_witness_replays():
+    # a witness exactly for the members, and every witness replays: its
+    # classes form a congruence, its quotient is in V, and each idempotent
+    # class is in Z, checked apart from mu
+    for S in all_semigroups_upto(4):
+        for Z in mv.V_SET:
+            for V in ("Sl", "G", "A"):
+                w = mv.mu_witness(S, Z, V)
+                assert (w is not None) == mv.malcev_member(S, Z, V), (S.table, Z, V)
+                if w is None:
+                    continue
+                c, Q = w
+                replay = sg.Congruence(S, c.class_of, check=True)
+                assert sg.quotient(S, replay).table == Q.table
+                assert _is_witness(S, replay, Z, V), (S.table, Z, V)
+
+
+def test_mu_witness_matches_the_lattice_search():
+    # the search over the whole congruence lattice finds a witness exactly
+    # when the mu congruence is one
+    from test_semigroups import congruences
+    for S in all_semigroups_upto(3):
+        lattice = congruences(S)
+        for Z in mv.V_SET:
+            for V in ("Sl", "G", "A"):
+                found = any(_is_witness(S, c, Z, V) for c in lattice)
+                assert found == (mv.mu_witness(S, Z, V) is not None), (S.table, Z, V)
 
 
 def test_cross_validation_triangle(monkeypatch):
+    # a Pin-Weil refutation only for non-members
     monkeypatch.setattr(mv, "PINWEIL_BUDGET", 2000)
     K = pv.get_pseudovariety("K")
     for S in all_semigroups_upto(3):
-        memb = mv.malcev_member(S, "K", "Sl")
-        wit = mv.witness_homomorphism(S, "K", "Sl")
-        ref = mv.pinweil_refute(S, K.basis, "Sl")
-        if wit is not None:
-            assert memb
-        if ref is not None:
-            assert not memb
-        # exactness of the witness search on this corpus
-        assert (wit is not None) == memb
+        if mv.pinweil_refute(S, K.basis, "Sl") is not None:
+            assert not mv.malcev_member(S, "K", "Sl")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +450,7 @@ def test_mu_matches_the_congruence_reference():
             assert (got.classes, got.class_of) == (want.classes, want.class_of), \
                 (S.table, Z)
             for j in regular_js(S):
-                got, want = mv.mu_zj(S, j, Z), _ref_mu_zj(S, _RefView(S, j), Z)
+                got, want = mu_zj(S, j, Z), _ref_mu_zj(S, _RefView(S, j), Z)
                 assert (got.classes, got.class_of) == \
                     (want.classes, want.class_of), (S.table, Z, j)
 
@@ -431,7 +467,7 @@ def test_per_j_labels_do_not_depend_on_call_order():
         for order in orders:
             U = _fresh(S)
             results.append({Z: (mv.mu_z(U, Z).classes,
-                                [mv.mu_zj(U, j, Z).classes for j in regular_js(U)],
+                                [mu_zj(U, j, Z).classes for j in regular_js(U)],
                                 mv.mu_quotient(U, Z).table)
                             for Z in order})
         assert results[0] == results[1] == results[2], S.table
@@ -476,5 +512,5 @@ def test_mu_computes_green_data_once(monkeypatch):
         for Z in ("K", "D", "KvG", "DvG", "LI", "LG"):
             mv.mu_z(U, Z)
             for j in regular_js(U):
-                mv.mu_zj(U, j, Z)
+                mu_zj(U, j, Z)
         assert calls == [U], S.table
