@@ -16,7 +16,7 @@ from . import malcev as mv
 from . import semigroups as sg
 from . import suites
 from . import terms as tm
-from .corpus import corpus_entries_upto, write_jsonl
+from .corpus import all_semigroups_upto, write_jsonl
 from .errors import BudgetExceeded, FinsemiError
 from .pseudovarieties import get_pseudovariety, member
 
@@ -135,13 +135,13 @@ def cmd_syn(args):
 
 
 def cmd_enumerate(args):
-    entries = corpus_entries_upto(args.max_order)
+    corpus = all_semigroups_upto(args.max_order)
     if args.out:
-        write_jsonl(entries, args.out)
+        write_jsonl(corpus, args.out)
     counts = {}
-    for e in entries:
-        counts[e.order] = counts.get(e.order, 0) + 1
-    print(json.dumps({"counts": counts, "total": len(entries)}))
+    for S in corpus:
+        counts[S.order] = counts.get(S.order, 0) + 1
+    print(json.dumps({"counts": counts, "total": len(corpus)}))
     return 0
 
 

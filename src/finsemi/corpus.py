@@ -13,14 +13,14 @@ Corpora are keyed by isomorphism, not anti-isomorphism, so a semigroup
 and its dual occur as distinct entries whenever they are not isomorphic.
 
 Enumerations are cached per process and returned as tuples.  Corpus
-objects are shared per process: every caller of `all_semigroups_upto`,
-whatever its max_order, gets the same `FiniteSemigroup` object for each
-class, so the derived data cached on it (Green's relations, idempotents)
-is computed once per process.
+objects are shared per process: every caller of `enumerate_semigroups`
+or `all_semigroups_upto`, whatever its order, gets the same
+`FiniteSemigroup` object for each class, so the derived data cached on
+it (Green's relations, idempotents) is computed once per process.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
 from functools import cache
 from itertools import permutations
 
@@ -143,49 +143,17 @@ def _unflatten(flat, n):
     return tuple(tuple(flat[x * n + y] for y in range(n)) for x in range(n))
 
 
-@dataclass
-class CorpusEntry:
-    id: str
-    order: int
-    table: tuple
-    flags: dict = field(default_factory=dict)
-    provenance: str = "enumerated"
-
-    def semigroup(self):
-        return sg.FiniteSemigroup(self.table, check=False)
-
-    def to_json(self):
-        return json.dumps({
-            "id": self.id, "order": self.order,
-            "table": [list(r) for r in self.table],
-            "flags": self.flags, "provenance": self.provenance,
-        }, sort_keys=True)
-
-
-def _flags(S):
-    g = S.green()
-    return {
-        "monoid": S.is_monoid(),
-        "regular": len(g.regular_j) == len(g.j_classes),
-        "aperiodic": all(S.index_period(x)[1] == 1 for x in range(S.order)),
-    }
-
-
 @cache
 def enumerate_semigroups(n):
-    """All semigroups of order n up to isomorphism, one entry per class
-    with its canonical table, in ascending order of that table.  Exact
-    for n <= EXACT_MAX_ORDER (orderly generation, no canonicalization
-    afterwards); larger orders raise BudgetExceeded."""
+    """All semigroups of order n up to isomorphism, one FiniteSemigroup
+    per class with its canonical table, in ascending order of that table.
+    Exact for n <= EXACT_MAX_ORDER (orderly generation, no
+    canonicalization afterwards); larger orders raise BudgetExceeded."""
     _check_exact(n)
     if n <= 0:
         return ()
-    entries = []
-    for i, flat in enumerate(_canonical_tables(n)):
-        table = _unflatten(flat, n)
-        S = sg.FiniteSemigroup(table, check=False)
-        entries.append(CorpusEntry(f"S{n}_{i}", n, table, _flags(S)))
-    return tuple(entries)
+    return tuple(sg.FiniteSemigroup(_unflatten(flat, n), check=False)
+                 for flat in _canonical_tables(n))
 
 
 def naive_enumerate(n):
@@ -212,19 +180,28 @@ def all_semigroups_upto(max_order):
     _check_exact(max_order)
     if max_order < 1:
         return ()
-    return all_semigroups_upto(max_order - 1) + tuple(
-        e.semigroup() for e in enumerate_semigroups(max_order))
+    return all_semigroups_upto(max_order - 1) + enumerate_semigroups(max_order)
 
 
-def corpus_entries_upto(max_order):
-    _check_exact(max_order)
-    out = []
-    for n in range(1, max_order + 1):
-        out.extend(enumerate_semigroups(n))
-    return out
+def _flags(S):
+    g = S.green()
+    return {
+        "monoid": S.is_monoid(),
+        "regular": len(g.regular_j) == len(g.j_classes),
+        "aperiodic": all(S.index_period(x)[1] == 1 for x in range(S.order)),
+    }
 
 
-def write_jsonl(entries, path):
+def write_jsonl(semigroups, path):
+    """One JSON line per semigroup, derived as it is written: the id
+    S<order>_<i> for the i-th semigroup of its order, the table, the
+    flags and the provenance."""
+    count = Counter()
     with open(path, "w") as fh:
-        for e in entries:
-            fh.write(e.to_json() + "\n")
+        for S in semigroups:
+            fh.write(json.dumps({
+                "id": f"S{S.order}_{count[S.order]}", "order": S.order,
+                "table": [list(r) for r in S.table],
+                "flags": _flags(S), "provenance": "enumerated",
+            }, sort_keys=True) + "\n")
+            count[S.order] += 1

@@ -44,28 +44,6 @@ class Dfa:
     def states(self):
         return len(self.delta)
 
-    def step(self, q, letter):
-        return self.delta[q][self.alphabet.index(letter)]
-
-    def accepts(self, word):
-        q = self.initial
-        for ch in word:
-            q = self.step(q, ch)
-        return q in self.finals
-
-    def to_json_dict(self):
-        return {"states": self.states, "alphabet": list(self.alphabet),
-                "delta": [list(r) for r in self.delta],
-                "initial": self.initial, "finals": sorted(self.finals)}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        dfa = cls(tuple(d["alphabet"]), tuple(tuple(r) for r in d["delta"]),
-                  d["initial"], frozenset(d["finals"]))
-        if "states" in d and d["states"] != dfa.states:
-            raise OutOfRangeEntry("declared states do not match delta")
-        return dfa
-
 
 # ---------------------------------------------------------------------------
 # Regex -> NFA -> DFA -> minimal DFA
@@ -184,80 +162,60 @@ def _eps_closure(nfa, states):
     return frozenset(out)
 
 
+def _reachable(starts, successors):
+    """The states reachable from starts, where successors(q) lists the
+    states one step from q, as a dict from each state to its position in
+    breadth-first order (iteration follows that order)."""
+    order = list(dict.fromkeys(starts))
+    position = {q: i for i, q in enumerate(order)}
+    for q in order:  # also visits the states appended on the way
+        for r in successors(q):
+            if r not in position:
+                position[r] = len(order)
+                order.append(r)
+    return position
+
+
 def _determinize(nfa):
-    alphabet = nfa.alphabet
-    start = _eps_closure(nfa, {nfa.initial})
-    subsets = {start: 0}
-    order = [start]
-    delta = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
+    rows = {}  # subset -> its successor subsets, one per letter
+
+    def successors(subset):
         row = []
-        for a in alphabet:
+        for a in nfa.alphabet:
             nxt = set()
-            for q in cur:
+            for q in subset:
                 nxt |= nfa.transitions.get((q, a), set())
-            closed = _eps_closure(nfa, nxt)
-            if closed not in subsets:
-                subsets[closed] = len(order)
-                order.append(closed)
-            row.append(subsets[closed])
-        delta.append(tuple(row))
-        i += 1
-    finals = frozenset(i for i, ss in enumerate(order) if ss & nfa.finals)
-    return Dfa(alphabet, tuple(delta), 0, finals)
+            row.append(_eps_closure(nfa, nxt))
+        rows[subset] = row
+        return row
+
+    position = _reachable([_eps_closure(nfa, {nfa.initial})], successors)
+    delta = tuple(tuple(position[r] for r in rows[subset]) for subset in position)
+    finals = frozenset(i for subset, i in position.items() if subset & nfa.finals)
+    return Dfa(nfa.alphabet, delta, 0, finals)
 
 
 def minimize(d):
-    """Trim to reachable states, refine by Moore's algorithm, and rename
-    canonically (BFS order); the result is the unique minimal complete DFA."""
-    reach = {d.initial}
-    stack = [d.initial]
-    while stack:
-        q = stack.pop()
-        for r in d.delta[q]:
-            if r not in reach:
-                reach.add(r)
-                stack.append(r)
-    states = sorted(reach)
-    remap = {q: i for i, q in enumerate(states)}
-    delta = [tuple(remap[d.delta[q][a]] for a in range(len(d.alphabet)))
-             for q in states]
-    finals = {remap[q] for q in d.finals if q in reach}
-    initial = remap[d.initial]
-
-    n = len(states)
-    block = sg.kernel_labels(q in finals for q in range(n))
+    """Refine by Moore's algorithm and rename canonically (BFS order from
+    the initial block); the result is the unique minimal complete DFA.
+    Unreachable states change no class of a reachable one, and the
+    renaming drops the blocks that hold no reachable state."""
+    n = d.states
+    block = sg.kernel_labels(q in d.finals for q in range(n))
     while True:
         new_block = sg.kernel_labels(
-            (block[q],) + tuple(block[r] for r in delta[q]) for q in range(n))
+            (block[q],) + tuple(block[r] for r in d.delta[q]) for q in range(n))
         if new_block == block:
             break
         block = new_block
     m = max(block) + 1
     mdelta = [None] * m
     for q in range(n):
-        mdelta[block[q]] = tuple(block[r] for r in delta[q])
-    mfinals = frozenset(block[q] for q in finals)
-    mi = block[initial]
-    # canonical BFS renaming
-    seen = {mi: 0}
-    order = [mi]
-    i = 0
-    while i < len(order):
-        q = order[i]
-        for a in range(len(d.alphabet)):
-            r = mdelta[q][a]
-            if r not in seen:
-                seen[r] = len(order)
-                order.append(r)
-        i += 1
-    final_delta = tuple(
-        tuple(seen[mdelta[q][a]] for a in range(len(d.alphabet))) for q in order
-    )
-    return Dfa(d.alphabet, final_delta,
-               0, frozenset(seen[q] for q in mfinals if q in seen))
+        mdelta[block[q]] = tuple(block[r] for r in d.delta[q])
+    position = _reachable([block[d.initial]], mdelta.__getitem__)
+    delta = tuple(tuple(position[r] for r in mdelta[b]) for b in position)
+    finals = frozenset(position[block[q]] for q in d.finals if block[q] in position)
+    return Dfa(d.alphabet, delta, 0, finals)
 
 
 def parse_regex(text, alphabet=None):
@@ -284,7 +242,6 @@ def parse_regex(text, alphabet=None):
 @dataclass
 class SyntacticSemigroup:
     semigroup: sg.FiniteSemigroup
-    maps: tuple  # the transformation each element induces on the DFA states
     letter_of: dict  # letter -> element index
     accepting: frozenset  # elements whose map sends initial into finals
 
@@ -310,7 +267,7 @@ def syntactic_semigroup(d):
     S = sg.FiniteSemigroup(table, check=False)
     letter_of = {d.alphabet[a]: index[letter_maps[a]] for a in range(len(d.alphabet))}
     accepting = frozenset(i for i, mp in enumerate(maps) if mp[d.initial] in d.finals)
-    return SyntacticSemigroup(S, tuple(maps), letter_of, accepting)
+    return SyntacticSemigroup(S, letter_of, accepting)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +282,10 @@ def marked_product(d1, a, d2):
     alphabet = d1.alphabet
     n1 = d1.states
     nfa = _Nfa(alphabet)
-    nfa.states = n1 + d2.states
-    for q in range(n1):
-        for i, letter in enumerate(alphabet):
-            nfa.transitions.setdefault((q, letter), set()).add(d1.delta[q][i])
-    for q in range(d2.states):
-        for i, letter in enumerate(alphabet):
-            nfa.transitions.setdefault((n1 + q, letter), set()).add(
-                n1 + d2.delta[q][i])
+    for offset, d in ((0, d1), (n1, d2)):
+        for q, row in enumerate(d.delta):
+            for letter, r in zip(alphabet, row):
+                nfa.transitions[offset + q, letter] = {offset + r}
     for f in d1.finals:
         nfa.transitions.setdefault((f, a), set()).add(n1 + d2.initial)
     nfa.initial = d1.initial
@@ -343,71 +296,57 @@ def marked_product(d1, a, d2):
 def is_unambiguous(d1, a, d2):
     """Every word of L1 a L2 has exactly one factorization u a v with
     u in L1, v in L2: no reachable two-marker configuration accepts."""
-    alphabet = d1.alphabet
-    ai = alphabet.index(a)
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("marked product needs a shared alphabet")
+    letters = range(len(d1.alphabet))
+    ai = d1.alphabet.index(a)
+
     # phases: ("A", q1) before any marker; ("B", q2, q1') tracking one
     # factorization in L2 and a later-marker candidate still in L1;
     # ("C", q2, q2') two factorizations in L2
-    start = ("A", d1.initial)
-    seen = {start}
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        succs = []
+    def successors(state):
         if state[0] == "A":
             q1 = state[1]
-            for i in range(len(alphabet)):
-                succs.append(("A", d1.delta[q1][i]))
+            succs = [("A", d1.delta[q1][i]) for i in letters]
             if q1 in d1.finals:
                 succs.append(("B", d2.initial, d1.delta[q1][ai]))
         elif state[0] == "B":
             _, q2, q1 = state
-            for i in range(len(alphabet)):
-                succs.append(("B", d2.delta[q2][i], d1.delta[q1][i]))
+            succs = [("B", d2.delta[q2][i], d1.delta[q1][i]) for i in letters]
             if q1 in d1.finals:
                 succs.append(("C", d2.delta[q2][ai], d2.initial))
         else:
             _, q2, q2b = state
-            if q2 in d2.finals and q2b in d2.finals:
-                return False
-            for i in range(len(alphabet)):
-                succs.append(("C", d2.delta[q2][i], d2.delta[q2b][i]))
-        for s in succs:
-            if s[0] == "C" and s[1] in d2.finals and s[2] in d2.finals:
-                return False
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return True
+            succs = [("C", d2.delta[q2][i], d2.delta[q2b][i]) for i in letters]
+        return succs
+
+    reachable = _reachable([("A", d1.initial)], successors)
+    return not any(state[0] == "C" and state[1] in d2.finals and state[2] in d2.finals
+                   for state in reachable)
 
 
 def is_left_deterministic(d1, a, d2):
     """Every word of L1 a L2 has exactly one prefix in L1 a."""
-    alphabet = d1.alphabet
-    ai = alphabet.index(a)
     prod = marked_product(d1, a, d2)
-    # track (product-state, d1-state, #prefixes-in-L1a capped at 2)
-    start = (prod.initial, d1.initial, 0)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p, q1, cnt = stack.pop()
-        for i in range(len(alphabet)):
-            bump = 1 if (i == ai and q1 in d1.finals) else 0
-            nxt = (prod.delta[p][i], d1.delta[q1][i], min(2, cnt + bump))
-            if nxt[0] in prod.finals and nxt[2] >= 2:
-                return False
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return True
+    letters = range(len(d1.alphabet))
+    ai = d1.alphabet.index(a)
+
+    # track (product-state, d1-state, #prefixes-in-L1a capped at 2); the
+    # marker read in a final state of d1 ends one more prefix in L1 a
+    def successors(state):
+        p, q1, cnt = state
+        bumped = min(2, cnt + 1) if q1 in d1.finals else cnt
+        return [(prod.delta[p][i], d1.delta[q1][i], bumped if i == ai else cnt)
+                for i in letters]
+
+    reachable = _reachable([(prod.initial, d1.initial, 0)], successors)
+    return not any(p in prod.finals and cnt >= 2 for p, _, cnt in reachable)
 
 
 def reverse_dfa(d):
     """Minimal DFA of the reversed language."""
     alphabet = d.alphabet
     nfa = _Nfa(alphabet)
-    nfa.states = d.states + 1
     fresh = d.states
     for q in range(d.states):
         for i, letter in enumerate(alphabet):

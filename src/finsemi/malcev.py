@@ -19,6 +19,8 @@ from .errors import UnsupportedZ
 from .pseudovarieties import get_pseudovariety, member, word_problem_equal
 
 V_SET = ("LI", "K", "D", "N", "LG", "KvG", "DvG", "NvG")
+# N (N v G) is the meet of K and D (K v G and D v G)
+MEETS = {"N": ("K", "D"), "NvG": ("KvG", "DvG")}
 
 
 # Each action takes a Cayley table t and a J-class J (a frozenset) of the
@@ -100,7 +102,7 @@ def mu_quotient(S, Z):
 
 def malcev_member_with(S, Z, pred):
     """S in Z m W, where W-membership is the predicate `pred`."""
-    comps = {"N": ("K", "D"), "NvG": ("KvG", "DvG")}.get(Z)
+    comps = MEETS.get(Z)
     if comps:
         return all(malcev_member_with(S, c, pred) for c in comps)
     return pred(mu_quotient(S, Z))
@@ -195,7 +197,7 @@ def mu_witness(S, Z, V):
     off mu."""
     if isinstance(V, str):
         V = get_pseudovariety(V)
-    comps = {"N": ("K", "D"), "NvG": ("KvG", "DvG")}.get(Z, (Z,))
+    comps = MEETS.get(Z, (Z,))
     c = sg.Congruence(S, zip(*[mu_z(S, z).class_of for z in comps]), check=False)
     Q = sg.quotient(S, c)
     if not member(Q, V):

@@ -326,22 +326,23 @@ def _two_idempotent_monster():
     return sg.FiniteSemigroup(tab, labels=["e", "f", "ef", "0"])
 
 
-def _refutation_models(max_order):
-    """The fixed bank, then the corpus of order <= max_order.  Lazy, so
-    the corpus is built only when the bank holds no witness."""
-    yield from _fast_bank()
-    yield from all_semigroups_upto(max_order)
-
-
 ASSIGNMENT_CAP = 5000  # largest |S|^letters that refute_over_models tries
 PROOF_SIZE_CAP = 4000  # largest joint term size proves_equal_over_S takes
+REFUTATION_MAX_ORDER = 4  # largest corpus order refute_over_models tries
 
 
-def refute_over_models(lhs, rhs, max_order=4):
+def _refutation_models():
+    """The fixed bank, then the corpus of order <= REFUTATION_MAX_ORDER.
+    Lazy, so the corpus is built only when the bank holds no witness."""
+    yield from _fast_bank()
+    yield from all_semigroups_upto(REFUTATION_MAX_ORDER)
+
+
+def refute_over_models(lhs, rhs):
     """Search small semigroups for an assignment separating lhs and rhs."""
     letters = tuple(sorted(tm.content(lhs) | tm.content(rhs), key=str))
     pi = tm.PseudoIdentity(lhs, rhs, letters)
-    for S in _refutation_models(max_order):
+    for S in _refutation_models():
         if S.order ** len(letters) > ASSIGNMENT_CAP:
             continue
         ok, asg = tm.satisfies(S, pi, witness=True)
@@ -359,14 +360,14 @@ def canon_equal(u, v):
     return canon(u) == canon(v)
 
 
-def proves_equal_over_S(u, v, max_order=4):
+def proves_equal_over_S(u, v):
     """Sound three-valued equality of omega-terms over all finite semigroups."""
     same = canon_equal(u, v)
     if same is None:
         return UNKNOWN
     if same:
         return PROVED
-    w = refute_over_models(u, v, max_order=max_order)
+    w = refute_over_models(u, v)
     if w is not None:
         return refuted(w)
     return UNKNOWN

@@ -79,16 +79,6 @@ class FiniteSemigroup:
         # no reference back to self
         self._derived = {}
 
-    def mul(self, x, y):
-        return self.table[x][y]
-
-    def prod(self, xs):
-        it = iter(xs)
-        acc = next(it)
-        for x in it:
-            acc = self.table[acc][x]
-        return acc
-
     def label(self, x):
         return self.labels[x] if self.labels else str(x)
 
@@ -356,12 +346,6 @@ class Congruence:
                 if cof[t[x][y]] != cof[t[rep][y]] or cof[t[y][x]] != cof[t[y][rep]]:
                     return False
         return True
-
-    def __len__(self):
-        return max(self.class_of) + 1
-
-    def is_identity(self):
-        return len(self) == self.semigroup.order
 
 
 def quotient(S, cong):

@@ -28,7 +28,7 @@ from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
 from finsemi import suites
 from finsemi import terms as tm
-from finsemi.corpus import all_semigroups_upto
+from finsemi.corpus import all_semigroups_upto, enumerate_semigroups
 from finsemi.errors import UnsupportedShape
 
 HAND_ROLLED = {"_absorb_memo"}
@@ -151,9 +151,10 @@ def test_the_corpus_is_shared():
     again = all_semigroups_upto(4)
     assert all(S is T for S, T in zip(corpus, again, strict=True))
     assert all(S is T for S, T in zip(all_semigroups_upto(3), corpus[:30], strict=True))
+    assert all(S is T for S, T in zip(enumerate_semigroups(4), corpus[30:], strict=True))
     ids = {id(S) for S in corpus}
     bank = {id(S) for S in pv._fast_bank()}
-    models = [S for S in pv._refutation_models(4) if id(S) not in bank]
+    models = [S for S in pv._refutation_models() if id(S) not in bank]
     assert len(models) == 218 and all(id(S) in ids for S in models)
     r_members = fz._r_members()
     assert r_members and all(id(S) in ids for S in r_members)

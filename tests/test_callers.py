@@ -1,9 +1,15 @@
 """Every top-level function, class and constant of the library has a
 caller: something in src/ or bench/ refers to it outside its own
 definition, by name, by attribute or by a string (the benchmark's tracer
-names its targets by string).  A definition that only tests call belongs
-in the tests; `pinweil_refute` is kept as the non-member certificate of
-Mal'cev membership, which no decision path reads yet."""
+names its targets by string).  Every method and property of a top-level
+class, dunders aside, is read as an attribute (`.name`) in src/ or bench/
+outside its own body.  A definition that only tests call belongs in the
+tests; `pinweil_refute` is kept as the non-member certificate of Mal'cev
+membership, which no decision path reads yet.
+
+Both checks match by name alone, so a definition passes when another one
+of the same name has a caller: `Dfa.to_json_dict`, say, would pass on the
+strength of `FiniteSemigroup.to_json_dict`."""
 
 import ast
 from collections import Counter
@@ -31,6 +37,11 @@ def _names(node):
     return found
 
 
+def _attributes(node):
+    """Every attribute name the subtree of node reads, with multiplicity."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _definitions(tree):
     """(name, node) for each top-level function, class and constant."""
     for node in tree.body:
@@ -43,9 +54,23 @@ def _definitions(tree):
                     yield target.id, node
 
 
+def _methods(tree):
+    """(class name, method name, node) for each method and property of a
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, sub.name, sub
+
+
+def _trees():
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]}
+
+
 def test_every_library_definition_has_a_caller():
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]}
+    trees = _trees()
     mentions = sum((_names(tree) for tree in trees.values()), Counter())
     uncalled = []
     for path in sorted(SRC.glob("*.py")):
@@ -56,3 +81,17 @@ def test_every_library_definition_has_a_caller():
             if mentions[name] - _names(node)[name] == 0:
                 uncalled.append(f"{path.stem}.{name}")
     assert not uncalled, f"no caller in src/ or bench/: {uncalled}"
+
+
+def test_every_library_method_is_read():
+    trees = _trees()
+    reads = sum((_attributes(tree) for tree in trees.values()), Counter())
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls, name, node in _methods(trees[path]):
+            if name.startswith("__"):
+                continue
+            # reads inside the method's own body do not count
+            if reads[name] - _attributes(node)[name] == 0:
+                unread.append(f"{path.stem}.{cls}.{name}")
+    assert not unread, f"no read in src/ or bench/: {unread}"

@@ -26,13 +26,13 @@ def test_naive_cross_check():
 
 def test_entries_are_canonical_and_distinct():
     for n in (3, 5):
-        entries = cp.enumerate_semigroups(n)
+        corpus = cp.enumerate_semigroups(n)
         canons = set()
-        for e in entries:
-            flat = tuple(v for row in e.table for v in row)
-            assert sg.canonical_form(e.table) == flat  # canonical form is idempotent
+        for S in corpus:
+            flat = tuple(v for row in S.table for v in row)
+            assert sg.canonical_form(S.table) == flat  # canonical form is idempotent
             canons.add(flat)
-        assert len(canons) == len(entries)
+        assert len(canons) == len(corpus)
 
 
 def _labeled_tables(n):
@@ -62,12 +62,7 @@ def test_orderly_generation_matches_labeled_search(n):
     # reference: every labeled table, canonicalized and deduplicated
     ref = sorted({sg.canonical_form(t) for t in _labeled_tables(n)})
     assert cp._canonical_tables(n) == ref
-    lines = []
-    for i, flat in enumerate(ref):
-        table = cp._unflatten(flat, n)
-        flags = cp._flags(sg.FiniteSemigroup(table, check=False))
-        lines.append(cp.CorpusEntry(f"S{n}_{i}", n, table, flags).to_json())
-    assert [e.to_json() for e in cp.enumerate_semigroups(n)] == lines
+    assert [S.table for S in cp.enumerate_semigroups(n)] == [cp._unflatten(f, n) for f in ref]
 
 
 def _automorphisms(table):
@@ -80,15 +75,15 @@ def _automorphisms(table):
 @pytest.mark.parametrize("n,labeled", [(4, 3492), (5, 183732)])
 def test_classes_account_for_every_labeled_table(n, labeled):
     # a class with automorphism group A has n!/|A| labeled tables (OEIS A023814)
-    total = sum(factorial(n) // _automorphisms(e.table)
-                for e in cp.enumerate_semigroups(n))
+    total = sum(factorial(n) // _automorphisms(S.table)
+                for S in cp.enumerate_semigroups(n))
     assert total == labeled
 
 
 def test_corpus_contains_duals_distinctly():
     # left_zero(2) and right_zero(2) are anti-isomorphic but not isomorphic,
     # and both appear in the order-2 corpus
-    tables = {e.table for e in cp.enumerate_semigroups(2)}
+    tables = {S.table for S in cp.enumerate_semigroups(2)}
     lz = sg.canonical_form(sg.catalog("left_zero", 2).table)
     rz = sg.canonical_form(sg.catalog("right_zero", 2).table)
     assert lz != rz
@@ -96,11 +91,11 @@ def test_corpus_contains_duals_distinctly():
 
 
 def test_flags():
-    by_canon = {e.table: e for e in cp.enumerate_semigroups(2)}
+    by_canon = {S.table: S for S in cp.enumerate_semigroups(2)}
     u1 = cp._unflatten(sg.canonical_form(sg.catalog("U1").table), 2)
     c2 = cp._unflatten(sg.canonical_form(sg.catalog("cyclic", 2).table), 2)
-    assert by_canon[u1].flags == {"monoid": True, "regular": True, "aperiodic": True}
-    assert by_canon[c2].flags == {"monoid": True, "regular": True, "aperiodic": False}
+    assert cp._flags(by_canon[u1]) == {"monoid": True, "regular": True, "aperiodic": True}
+    assert cp._flags(by_canon[c2]) == {"monoid": True, "regular": True, "aperiodic": False}
 
 
 def test_order_six_exceeds_budget():
@@ -110,19 +105,22 @@ def test_order_six_exceeds_budget():
 
 def test_order_past_the_cap_raises_before_any_enumeration():
     cp.enumerate_semigroups.cache_clear()
-    for build in (cp.corpus_entries_upto, cp.all_semigroups_upto):
-        with pytest.raises(BudgetExceeded):
-            build(cp.EXACT_MAX_ORDER + 1)
+    with pytest.raises(BudgetExceeded):
+        cp.all_semigroups_upto(cp.EXACT_MAX_ORDER + 1)
     assert cp.enumerate_semigroups.cache_info().misses == 0
 
 
 def test_jsonl_round_trip(tmp_path):
-    entries = cp.enumerate_semigroups(2)
+    corpus = cp.all_semigroups_upto(2)
     path = tmp_path / "c.jsonl"
-    cp.write_jsonl(entries, str(path))
-    back = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [tuple(map(tuple, d["table"])) for d in back] == [e.table for e in entries]
-    assert [d["flags"] for d in back] == [e.flags for e in entries]
+    cp.write_jsonl(corpus, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == ('{"flags": {"aperiodic": true, "monoid": true, "regular": true}, '
+                        '"id": "S1_0", "order": 1, "provenance": "enumerated", "table": [[0]]}')
+    back = [json.loads(line) for line in lines]
+    assert [d["id"] for d in back] == ["S1_0", *(f"S2_{i}" for i in range(5))]
+    assert [tuple(map(tuple, d["table"])) for d in back] == [S.table for S in corpus]
+    assert [d["flags"] for d in back] == [cp._flags(S) for S in corpus]
 
 
 def test_suite_determinism():

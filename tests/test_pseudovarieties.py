@@ -115,8 +115,9 @@ def test_certifier_size_cap(monkeypatch):
     assert pv.canon_equal(u, v) is None
 
 
-def test_canon_equal_is_the_certifiers_proof_step():
+def test_canon_equal_is_the_certifiers_proof_step(monkeypatch):
     # related pairs (sound variants) and unrelated ones, over ab
+    monkeypatch.setattr(pv, "REFUTATION_MAX_ORDER", 0)
     rng = random.Random(4)
     pairs = []
     for _ in range(400):
@@ -126,14 +127,15 @@ def test_canon_equal_is_the_certifiers_proof_step():
     seen = set()
     for u, v in pairs:
         same = pv.canon_equal(u, v)
-        verdict = pv.proves_equal_over_S(u, v, max_order=0)
+        verdict = pv.proves_equal_over_S(u, v)
         assert same is not None and same == verdict.proved, (u, v)
         seen.add(same)
     assert seen == {True, False}
 
 
-def test_certifier_soundness_audit():
+def test_certifier_soundness_audit(monkeypatch):
     # Everything the certifier proves must hold in every sampled model.
+    monkeypatch.setattr(pv, "REFUTATION_MAX_ORDER", 0)
     rng = random.Random(11)
     pool = [sg.catalog("B2"), sg.catalog("B2_1"), sg.catalog("cyclic", 6),
             sg.catalog("free_band_2"), sg.catalog("U1"),
@@ -145,7 +147,7 @@ def test_certifier_soundness_audit():
         a, b = rng.choice(base_terms), rng.choice(base_terms)
         u = T(a + " " + b) if rng.random() < 0.5 else T(a)
         v_ = T(b)
-        verdict = pv.proves_equal_over_S(u, v_, max_order=0)
+        verdict = pv.proves_equal_over_S(u, v_)
         if verdict.proved:
             proved_pairs.append((u, v_))
     assert proved_pairs  # the sample must exercise the Proved path
