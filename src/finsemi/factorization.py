@@ -24,6 +24,7 @@ from .pseudovarieties import (
     UNKNOWN,
     canon,
     canon_equal,
+    first_generating_failure,
     member,
     proves_equal_over_S,  # noqa: F401 -- bench/test_bench.py reads this binding
     refuted,
@@ -158,7 +159,8 @@ def term_signature(t):
     and sound for R since R-trivial semigroups are aperiodic.  ilbf_term
     first asks for the signature of canon(t); canon was idempotent on all
     12,000 omega_pairs window images measured (seeds 0 and 1), so that is
-    term_signature(t) there."""
+    term_signature(t) there (tests/test_factorization.py checks canon's
+    idempotence on 12,000 lemma69 terms and their k = 1, 2 images)."""
     return canon(_zero_offsets(canon(t)))
 
 
@@ -260,7 +262,9 @@ def ilbf2(u, cap=60):
     window image is lifted from canon(u) (`window_image`): phi_1 reads the
     pseudoword, canon holds in every finite semigroup and the left basic
     factorization of a pseudoword is unique (Almeida & Zeitoun, TCS 2007),
-    so the outcome and a finite length are those of u as written."""
+    so the outcome and a finite length are those of u as written.  A
+    term's result is memoized by (canon(u), cap) and shared by every term
+    with that normal form, so callers must not mutate it."""
     if cap < 1:
         raise ValueError(f"the factorization cap must be at least 1, got {cap}")
     is_word = not isinstance(u, tm.Term)
@@ -279,10 +283,18 @@ def ilbf2(u, cap=60):
         else:
             q = (w[-1],)
         return Ilbf2Result("finite", factors, q=q)
-    img = window_image(u, 1)
+    return _ilbf2_of_normal_form(canon(u), cap)
+
+
+@cache
+def _ilbf2_of_normal_form(c, cap):
+    """ilbf2 of a term whose normal form is c.  induced_factorization
+    reads the term only through its last letter, which canon keeps, so c
+    stands in for it."""
+    img = dk.phi_k_term(c, 1)
     if img is None:
         raise ValueError("ilbf2 requires a term longer than 1")
-    return induced_factorization(u, img, ilbf_term(img, cap=cap))
+    return induced_factorization(c, img, ilbf_term(img, cap=cap))
 
 
 def induced_factorization(u, img, res):
@@ -316,12 +328,20 @@ def ds_dk_regular(t, k):
     A term's image is lifted from canon(t) (`window_image`): phi_k is a
     function of the pseudoword, canon holds in every finite semigroup and
     the left basic factorization of a pseudoword is unique (Almeida &
-    Zeitoun, TCS 2007), so the verdict is that of t as written."""
+    Zeitoun, TCS 2007), so the verdict is that of t as written.  A term's
+    verdict is memoized by (canon(t), k) and shared by every term with
+    that normal form, so callers must not mutate its witness."""
     if not isinstance(t, tm.Term):
         if not dk.phi_k(t, k).blocks:
             raise ValueError("ds_dk_regular requires input longer than k")
         return refuted("finite words have finite factorizations")
-    img = window_image(t, k)
+    return _ds_dk_regular_of_normal_form(canon(t), k)
+
+
+@cache
+def _ds_dk_regular_of_normal_form(c, k):
+    """ds_dk_regular of a term whose normal form is c."""
+    img = dk.phi_k_term(c, k)
     if img is None:
         raise ValueError("ds_dk_regular requires a term longer than k")
     res = ilbf_term(img)
@@ -346,21 +366,6 @@ def _regressive_monoid(n):
     index = {f: i for i, f in enumerate(maps)}
     table = [[index[tuple(g[f[x]] for x in range(n))] for g in maps] for f in maps]
     return sg.FiniteSemigroup(table, check=False)
-
-
-def _refuted_in_r(models, u, v):
-    """A model among `models`, all R-trivial, with an assignment that
-    separates u and v; None when none does or the pair has more than three
-    letters."""
-    letters = tuple(sorted(tm.content(u) | tm.content(v), key=str))
-    if len(letters) > 3:
-        return None
-    pi = tm.PseudoIdentity(u, v, letters)
-    for S in models:
-        ok, asg = tm.satisfies(S, pi, witness=True)
-        if not ok:
-            return {"semigroup": S, "assignment": asg}
-    return None
 
 
 R_EQUAL_DEPTH_CAP = 40  # factorization depth past which r_equal is unknown
@@ -390,7 +395,11 @@ def r_equal(u, v):
     completing letters) rest on uniqueness alone; they carry the
     R-trivial monoid of order 120 (`_regressive_monoid(5)`) with a
     separating assignment when it has one, and the reason text
-    otherwise."""
+    otherwise.  The R-corpus is searched over generating assignments
+    only: R is closed under subsemigroups, so the first witness is that
+    of the full search (`first_generating_failure`).  The order-120
+    monoid's subsemigroups are not all in the corpus, so it is searched
+    in full."""
     memo = set()
 
     def go(x, y, depth):
@@ -427,12 +436,17 @@ def r_equal(u, v):
         v = tm.word_term(tm._as_word(v))
     if canon_equal(u, v):
         return PROVED
-    w = _refuted_in_r(_r_members(), u, v)
+    letters = tuple(sorted(tm.content(u) | tm.content(v), key=str))
+    if len(letters) > 3:
+        return go(u, v, 0)
+    pi = tm.PseudoIdentity(u, v, letters)
+    w = first_generating_failure(_r_members(), pi)
     if w is not None:
         return refuted(w)
     verdict = go(u, v, 0)
     if verdict.refuted:
-        w = _refuted_in_r((_regressive_monoid(5),), u, v)
-        if w is not None:
-            return refuted(w)
+        S = _regressive_monoid(5)
+        ok, asg = tm.satisfies(S, pi, witness=True)
+        if not ok:
+            return refuted({"semigroup": S, "assignment": asg})
     return verdict

@@ -254,9 +254,11 @@ class SyntacticSemigroup:
 
 
 def syntactic_semigroup(d):
-    """Transition semigroup of the minimal DFA: closure of the letter maps
-    under composition, within sg.CLOSURE_BUDGET elements."""
-    d = minimize(d)
+    """Transition semigroup of d, which must be a minimal complete DFA (as
+    parse_regex, marked_product and reverse_dfa return): closure of the
+    letter maps under composition, within sg.CLOSURE_BUDGET elements.  Of
+    a DFA that is not minimal this is the transition semigroup, which may
+    be larger than the syntactic one."""
     letter_maps = [tuple(row[a] for row in d.delta) for a in range(len(d.alphabet))]
 
     def compose(f, g):  # f, then g
@@ -274,11 +276,20 @@ def syntactic_semigroup(d):
 # Marked products
 
 
+def _marker_index(d1, a, d2):
+    """The position of the marker a in the alphabet that d1 and d2 share;
+    ValueError when they do not share one or a is not in it."""
+    if d1.alphabet != d2.alphabet:
+        raise ValueError("marked product needs a shared alphabet")
+    if a not in d1.alphabet:
+        raise ValueError(f"marker {a!r} is not a letter of the alphabet {d1.alphabet!r}")
+    return d1.alphabet.index(a)
+
+
 def marked_product(d1, a, d2):
     """DFA for L1 a L2 via the NFA that adds a marker jump from final
     states of L1 to the start of L2."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("marked product needs a shared alphabet")
+    _marker_index(d1, a, d2)
     alphabet = d1.alphabet
     n1 = d1.states
     nfa = _Nfa(alphabet)
@@ -296,10 +307,8 @@ def marked_product(d1, a, d2):
 def is_unambiguous(d1, a, d2):
     """Every word of L1 a L2 has exactly one factorization u a v with
     u in L1, v in L2: no reachable two-marker configuration accepts."""
-    if d1.alphabet != d2.alphabet:
-        raise ValueError("marked product needs a shared alphabet")
+    ai = _marker_index(d1, a, d2)
     letters = range(len(d1.alphabet))
-    ai = d1.alphabet.index(a)
 
     # phases: ("A", q1) before any marker; ("B", q2, q1') tracking one
     # factorization in L2 and a later-marker candidate still in L1;
@@ -327,9 +336,9 @@ def is_unambiguous(d1, a, d2):
 
 def is_left_deterministic(d1, a, d2):
     """Every word of L1 a L2 has exactly one prefix in L1 a."""
+    ai = _marker_index(d1, a, d2)
     prod = marked_product(d1, a, d2)
     letters = range(len(d1.alphabet))
-    ai = d1.alphabet.index(a)
 
     # track (product-state, d1-state, #prefixes-in-L1a capped at 2); the
     # marker read in a final state of d1 ends one more prefix in L1 a

@@ -124,18 +124,24 @@ def _gather_word_copies(factors):
     while i < len(out):
         f = out[i]
         i += 1
-        if not (isinstance(f, tm.Power) and isinstance(f.base, tm.Concat)):
+        if type(f) is not tm.Power or type(f.base) is not tm.Concat:
             continue  # single-factor runs merge in the main pass
-        base_fs = list(f.base.parts)
-        n = len(base_fs)
+        parts = f.base.parts
+        n = len(parts)
+        first, last = parts[0], parts[-1]
+        base_fs = list(parts)
         exp = f.exp
         lo, hi = i - 1, i
-        while lo >= n and out[lo - n:lo] == base_fs:
+        # equal terms are identical, so two identity tests rule out most
+        # candidate copies before a slice is built
+        while (lo >= n and out[lo - n] is first and out[lo - 1] is last
+               and out[lo - n:lo] == base_fs):
             bumped = _add_exp(exp, 1)
             if bumped is None:
                 break
             exp, lo = bumped, lo - n
-        while hi + n <= len(out) and out[hi:hi + n] == base_fs:
+        while (hi + n <= len(out) and out[hi] is first and out[hi + n - 1] is last
+               and out[hi:hi + n] == base_fs):
             bumped = _add_exp(exp, 1)
             if bumped is None:
                 break
@@ -151,7 +157,7 @@ def _gather_word_copies(factors):
 def _right_copy_reaches(f, p, lo):
     """Whether f, at position p, is a power whose first right copy of its
     base overlaps position lo."""
-    return (isinstance(f, tm.Power) and isinstance(f.base, tm.Concat)
+    return (type(f) is tm.Power and type(f.base) is tm.Concat
             and p + 1 + len(f.base.parts) > lo)
 
 
@@ -159,36 +165,44 @@ def _combine_pass(factors):
     factors = _gather_word_copies(factors)
     # 1. merge adjacent factors with equal bases where exponents add; a
     # factor left alone is kept, unless it is an integer power to expand
-    runs = [(f.base, f.exp) if isinstance(f, tm.Power) else (f, 1) for f in factors]
     out = []
     i, n = 0, len(factors)
     while i < n:
-        base, exp = runs[i]
+        f = factors[i]
+        if type(f) is tm.Power:
+            base, exp = f.base, f.exp
+        else:
+            base, exp = f, 1
         j = i + 1
         while j < n:
-            b2, e2 = runs[j]
-            if b2 is not base:
+            g = factors[j]
+            if type(g) is tm.Power:
+                if g.base is not base:
+                    break
+                s = _add_exp(exp, g.exp)
+            elif g is base:
+                s = _add_exp(exp, 1)
+            else:
                 break
-            s = _add_exp(exp, e2)
             if s is None:
                 break
             exp = s
             j += 1
-        if j > i + 1 or isinstance(factors[i], tm.Power) and isinstance(exp, int):
+        if j > i + 1 or type(f) is tm.Power and type(exp) is int:
             out.extend(_emit_run(base, exp))
         else:
-            out.append(factors[i])
+            out.append(f)
         i = j
     # 2. absorption into neighbouring infinite powers
     res = []
     for f in out:
-        if res and isinstance(f, tm.Power) and not isinstance(f.exp, int):
+        if res and type(f) is tm.Power and type(f.exp) is not int:
             while res and _absorbs("L", res[-1], f.base):
                 res.pop()
         res.append(f)
     out2 = []
     for f in reversed(res):
-        if out2 and isinstance(f, tm.Power) and not isinstance(f.exp, int):
+        if out2 and type(f) is tm.Power and type(f.exp) is not int:
             while out2 and _absorbs("R", out2[-1], f.base):
                 out2.pop()
         out2.append(f)
@@ -331,24 +345,49 @@ PROOF_SIZE_CAP = 4000  # largest joint term size proves_equal_over_S takes
 REFUTATION_MAX_ORDER = 4  # largest corpus order refute_over_models tries
 
 
-def _refutation_models():
-    """The fixed bank, then the corpus of order <= REFUTATION_MAX_ORDER.
-    Lazy, so the corpus is built only when the bank holds no witness."""
-    yield from _fast_bank()
-    yield from all_semigroups_upto(REFUTATION_MAX_ORDER)
+def first_generating_failure(models, pi):
+    """The first model S in `models` with an assignment under which the
+    sides of pi differ, as {"semigroup": S, "assignment": ...}, reading
+    only assignments whose values generate S, or None when none does.
+
+    `models` must run by nondecreasing order and hold, up to isomorphism,
+    every subsemigroup of each member: the corpus of order <= n does, and
+    so do its members in a pseudovariety, which is closed under
+    subsemigroups (R, for `factorization.r_equal`).  The answer is then
+    the first failure of the full search, in `itertools.product` order.
+    Take the first member S that fails, under an assignment whose values
+    generate a proper subsemigroup T.  T is isomorphic to a member of
+    smaller order, which comes earlier and fails too: a contradiction.
+    So every failing assignment of S generates S, and the members before
+    S fail under none."""
+    check = tm._compiled_check(pi)
+    k = len(pi.alphabet)
+    for S in models:
+        values = check(S, sg.generating_tuples(S, k))
+        if values is not None:
+            return {"semigroup": S, "assignment": dict(zip(pi.alphabet, values))}
+    return None
 
 
 def refute_over_models(lhs, rhs):
-    """Search small semigroups for an assignment separating lhs and rhs."""
+    """Search small semigroups for an assignment separating lhs and rhs:
+    the fixed bank under every assignment, then the corpus of order <=
+    REFUTATION_MAX_ORDER under generating assignments only
+    (`first_generating_failure`; the bank is not closed under
+    subsemigroups).  A semigroup with more than ASSIGNMENT_CAP
+    assignments is skipped."""
     letters = tuple(sorted(tm.content(lhs) | tm.content(rhs), key=str))
     pi = tm.PseudoIdentity(lhs, rhs, letters)
-    for S in _refutation_models():
-        if S.order ** len(letters) > ASSIGNMENT_CAP:
+    k = len(letters)
+    for S in _fast_bank():
+        if S.order ** k > ASSIGNMENT_CAP:
             continue
         ok, asg = tm.satisfies(S, pi, witness=True)
         if not ok:
             return {"semigroup": S, "assignment": asg}
-    return None
+    corpus = all_semigroups_upto(REFUTATION_MAX_ORDER)
+    return first_generating_failure(
+        (S for S in corpus if S.order ** k <= ASSIGNMENT_CAP), pi)
 
 
 def canon_equal(u, v):

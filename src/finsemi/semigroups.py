@@ -74,9 +74,10 @@ class FiniteSemigroup:
         self._canon = None
         # derived semigroups, labels and verdicts, keyed by e (an int) for
         # local_monoid, Z (a str) for malcev.mu_quotient, (Z, J) with J a
-        # J-class (a frozenset) for the mu_{Z,J} label vectors of malcev, and
-        # V (a PseudovarietyDef) for pseudovarieties.member; the values hold
-        # no reference back to self
+        # J-class (a frozenset) for the mu_{Z,J} label vectors of malcev,
+        # ("generating", k) for generating_tuples, and V (a
+        # PseudovarietyDef) for pseudovarieties.member; the values hold no
+        # reference back to self
         self._derived = {}
 
     def label(self, x):
@@ -305,6 +306,30 @@ def local_monoid(S, e):
         labels = [S.label(x) for x in elems] if S.labels else None
         M = S._derived[e] = FiniteSemigroup(table, labels=labels, check=False)
     return M
+
+
+def generating_tuples(S, k):
+    """The k-tuples of elements that generate S, in `itertools.product`
+    order over range(S.order); cached on S under ("generating", k)."""
+    key = ("generating", k)
+    found = S._derived.get(key)
+    if found is None:
+        t = S.table
+
+        def mul(x, y):
+            return t[x][y]
+
+        generates = {}  # the set of a tuple's values -> whether it generates S
+        tuples = []
+        for values in product(range(S.order), repeat=k):
+            gens = frozenset(values)
+            ok = generates.get(gens)
+            if ok is None:
+                ok = generates[gens] = len(closure(gens, mul)[0]) == S.order
+            if ok:
+                tuples.append(values)
+        found = S._derived[key] = tuple(tuples)
+    return found
 
 
 def dual(S):

@@ -685,10 +685,11 @@ class _SourceSemigroup:
 @cache
 def _compiled_check(pi):
     """The assignment loop of `satisfies` for pi, compiled: a function of
-    S that returns the first assignment (in `itertools.product` order over
-    pi.alphabet) under which the two sides differ, as a tuple of values,
-    or None.  Letter i of the alphabet is the name v<i>; a repeated letter
-    takes its last position, as in `dict(zip(alphabet, values))`."""
+    S and an iterable of assignments, each a tuple of element indices, one
+    per letter of pi.alphabet, that returns the first assignment under
+    which the two sides differ, as such a tuple, or None.  Letter i of the
+    alphabet is the name v<i>; a repeated letter takes its last position,
+    as in `dict(zip(alphabet, values))`."""
     k = len(pi.alphabet)
     names = {sym: f"v{i}" for i, sym in enumerate(pi.alphabet)}
     source = _SourceSemigroup()
@@ -696,14 +697,14 @@ def _compiled_check(pi):
     rhs = evaluate(pi.rhs, source, names)
     values = "".join(f"v{i}, " for i in range(k))
     body = "".join(f"        {line}\n" for line in source.lines)
-    code = (f"def check(S):\n"
+    code = (f"def check(S, assignments):\n"
             f"    t = S.table\n"
-            f"    for {values}in product(range(S.order), repeat={k}):\n"
+            f"    for {values}in assignments:\n"
             f"{body}"
             f"        if {lhs} != {rhs}:\n"
             f"            return ({values})\n"
             f"    return None\n")
-    namespace = {"product": iproduct}
+    namespace = {}
     exec(compile(code, "<satisfies>", "exec"), namespace)
     return namespace["check"]
 
@@ -722,7 +723,7 @@ def satisfies(S, pi, witness=False):
     if assignments > SATISFIES_BUDGET:
         raise BudgetExceeded(f"satisfies search |S|^{len(syms)} = {assignments} "
                              f"exceeds {SATISFIES_BUDGET}")
-    values = _compiled_check(pi)(S)
+    values = _compiled_check(pi)(S, iproduct(range(S.order), repeat=len(syms)))
     if values is None:
         return (True, None) if witness else True
     return (False, dict(zip(syms, values))) if witness else False

@@ -342,17 +342,36 @@ def _clear_memos():
     fz._zero_offsets.cache_clear()
     fz._lastmap.cache_clear()
     dk.phi_k_term.cache_clear()
+    fz._ilbf2_of_normal_form.cache_clear()
+    fz._ds_dk_regular_of_normal_form.cache_clear()
 
 
 def test_factorizations_do_not_depend_on_call_order():
+    # both sides of each pair are listed, and most pairs share a normal
+    # form, so reversing the order changes which side fills the memos of
+    # ilbf2 and ds_dk_regular for the other
     _pairs, terms = _factorization_terms()
     terms = terms[:300]
     _clear_memos()
     forward = [_decisions(t) for t in terms]
+    shared = len(terms) - fz._ilbf2_of_normal_form.cache_info().currsize
     _clear_memos()
     backward = [_decisions(t) for t in reversed(terms)]
     _clear_memos()
     assert forward == backward[::-1]
+    assert shared > 100
+
+
+def test_canon_is_idempotent_on_the_generators_terms_and_window_images():
+    # term_signature's docstring rests on this measurement: ilbf_term
+    # takes the signature of canon(img), which is term_signature(img)
+    # where canon is idempotent on img
+    terms = [t for seed in (0, 1) for pair in _lemma69_pairs(seed, 3000) for t in pair]
+    images = [img for t in terms for k in (1, 2)
+              if (img := fz.window_image(t, k)) is not None]
+    assert len(terms) == 12000 and len(images) > 20000
+    for x in terms + images:
+        assert pv.canon(pv.canon(x)) is pv.canon(x), tm.term_to_text(x)
 
 
 def test_r_equal_proofs_hold_and_refutations_replay():

@@ -122,6 +122,15 @@ def test_unambiguity_needs_a_shared_alphabet():
         lg.is_unambiguous(d1, "a", ba)
 
 
+def test_a_marker_outside_the_alphabet_is_rejected():
+    d1 = lg.parse_regex("a+", alphabet="ab")
+    d2 = lg.parse_regex("b+", alphabet="ab")
+    for construction in (lg.marked_product, lg.is_unambiguous,
+                         lg.is_left_deterministic, lg.is_right_deterministic):
+        with pytest.raises(ValueError, match="marker 'c'"):
+            construction(d1, "c", d2)
+
+
 def brute_force_factorization_counts(d1, a, d2, alphabet, n=7):
     counts = {}
     for w in words_upto(alphabet, n):
@@ -196,6 +205,44 @@ def test_closure_theorem_construction_direction():
                     assert mv.lv_member(syn, "DA"), (r1, marker, r2)
                     checked["unamb"] += 1
     assert all(v >= 50 for v in checked.values()), checked
+
+
+def random_regex(rng, letters, depth=3):
+    """The regex generator of the fresh_tables benchmark workload."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(letters)
+    roll = rng.random()
+    if roll < 0.4:
+        return (random_regex(rng, letters, depth - 1)
+                + random_regex(rng, letters, depth - 1))
+    if roll < 0.6:
+        return (f"({random_regex(rng, letters, depth - 1)}"
+                f"|{random_regex(rng, letters, depth - 1)})")
+    if roll < 0.8:
+        return f"({random_regex(rng, letters, depth - 1)})*"
+    return f"({random_regex(rng, letters, depth - 1)})+"
+
+
+def test_every_dfa_producer_returns_a_minimal_dfa():
+    # syntactic_semigroup requires a minimal DFA and minimizes nothing
+    # itself, so each producer of its inputs must return one
+    rng = random.Random(5)
+    dfas = [lg.parse_regex(random_regex(rng, "abc"), alphabet="abc") for _ in range(3000)]
+    for d in dfas:
+        assert lg.minimize(d) == d
+        r = lg.reverse_dfa(d)
+        assert lg.minimize(r) == r
+    # the marked products of the languages_closure suite, and products of
+    # the random DFAs
+    pool = ["a", "b", "ab", "(ab)+", "a+", "b+", "(a|b)+", "(a|b)*a",
+            "b*ab*", "a(a|b)*", "(ba)+", "(a|b)*b"]
+    closure_dfas = [lg.parse_regex(r, alphabet="ab") for r in pool]
+    products = [(d1, marker, d2) for d1 in closure_dfas for d2 in closure_dfas
+                for marker in "ab"]
+    products += [(d1, "a", d2) for d1, d2 in zip(dfas[:300], dfas[300:600])]
+    for d1, marker, d2 in products:
+        p = lg.marked_product(d1, marker, d2)
+        assert lg.minimize(p) == p
 
 
 @pytest.mark.parametrize("field, value", [

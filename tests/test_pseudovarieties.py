@@ -173,6 +173,65 @@ def test_normal_forms_hold_in_every_small_semigroup():
         assert bad == [], str(pi)
 
 
+# The full search, the oracle of pseudovarieties.first_generating_failure:
+# every assignment of every model, in order, the fixed bank first.
+
+
+def _reference_first_failure(models, pi):
+    for S in models:
+        ok, asg = tm.satisfies(S, pi, witness=True)
+        if not ok:
+            return {"semigroup": S, "assignment": asg}
+    return None
+
+
+def _reference_refute_over_models(pi):
+    models = [*pv._fast_bank(), *all_semigroups_upto(pv.REFUTATION_MAX_ORDER)]
+    k = len(pi.alphabet)
+    return _reference_first_failure(
+        [S for S in models if S.order ** k <= pv.ASSIGNMENT_CAP], pi)
+
+
+def _same_failure(got, want):
+    """One (semigroup, assignment), the semigroup the same object, or None."""
+    if got is None or want is None:
+        return got is want
+    return (got["semigroup"] is want["semigroup"]
+            and got["assignment"] == want["assignment"])
+
+
+def test_generating_search_matches_the_full_search():
+    corpus = all_semigroups_upto(4)
+    r_members = fz._r_members()
+    bank = pv._fast_bank()
+    identities = [pi for V in pv.CATALOG.values() for pi in V.basis]
+    for letters, seed in (("ab", 0), ("abc", 1)):
+        rng = random.Random(seed)
+        identities += [tm.pseudo_identity(suites._random_term(rng, letters),
+                                          suites._random_term(rng, letters))
+                       for _ in range(1500)]
+    from_corpus = unrefuted = r_witnesses = 0
+    for pi in identities:
+        got = pv.refute_over_models(pi.lhs, pi.rhs)
+        want = _reference_refute_over_models(pi)
+        assert _same_failure(got, want), str(pi)
+        if got is None:
+            unrefuted += 1
+        elif all(got["semigroup"] is not S for S in bank):
+            from_corpus += 1
+        # the corpus alone, under the assignment cap, as the certifier
+        # searches it when the bank separates nothing
+        k = len(pi.alphabet)
+        models = [S for S in corpus if S.order ** k <= pv.ASSIGNMENT_CAP]
+        assert _same_failure(pv.first_generating_failure(models, pi),
+                             _reference_first_failure(models, pi)), str(pi)
+        if k <= 3:  # the R word problem refutes over at most three letters
+            got = pv.first_generating_failure(r_members, pi)
+            assert _same_failure(got, _reference_first_failure(r_members, pi)), str(pi)
+            r_witnesses += got is not None
+    assert from_corpus >= 10 and unrefuted >= 10 and r_witnesses > 1000
+
+
 # The reference combine pass, the oracle of pseudovarieties._combine_pass:
 # it reads every factor's (base, exp) as often as it needs it, re-emits
 # every run, compares bases by equality and copies the factor list.
