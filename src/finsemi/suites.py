@@ -27,11 +27,14 @@ from .pseudovarieties import (
 )
 
 
-# Sample sizes of the random suites: word pairs of thm61_words, and
-# certified term pairs and words of lemma69_terms.
+# Sample sizes of the random suites: word pairs of thm61_words, certified
+# term pairs and words of lemma69_terms, and identity transports and mu
+# duality samples of duality.
 THM61_PAIRS = 10_000
 LEMMA69_PAIRS = 500
 LEMMA69_WORDS = 10_000
+DUALITY_INSTANCES = 10_000
+DUALITY_MU_SAMPLES = 100
 
 
 @dataclass
@@ -63,7 +66,7 @@ def _fail(report, **example):
 # ---------------------------------------------------------------------------
 
 
-def suite_permanence(config):
+def suite_permanence(config, report):
     """Left permanence of the displayed two-variable pseudoidentities and of
     the LG_p instances (p = 2, 3), and right permanence of the displayed
     mirrors.
@@ -73,7 +76,6 @@ def suite_permanence(config):
     failure example carries the witness semigroup, assignment and sides,
     so the refutation replays with ident-check.  The report therefore has
     checked=12, failed=2."""
-    report = SuiteReport("permanence")
     displayed = [
         "x1^w = x1^w x2",
         "x1^w = x1^w x2^w",
@@ -97,50 +99,36 @@ def suite_permanence(config):
     for text in displayed:
         dual_pi = _chi_identity(tm.parse_identity(text))
         record(str(dual_pi), "right", is_right_permanent(dual_pi))
-    return report
 
 
-def suite_malcev_equalities(config):
+def suite_malcev_equalities(S, report):
     """member-by-basis vs the mu-route for the six classical equalities."""
-    report = SuiteReport("malcev_equalities")
-    corpus = all_semigroups_upto(config.get("max_order", 4))
-    pairs = [("R", "K"), ("L", "D"), ("DA", "LI"), ("DS", "LG"),
-             ("J", "N"), ("DG", "NvG")]
-    for S in corpus:
-        for name, Z in pairs:
+    for name, Z in [("R", "K"), ("L", "D"), ("DA", "LI"), ("DS", "LG"),
+                    ("J", "N"), ("DG", "NvG")]:
+        report.checked += 1
+        lhs = member(S, name)
+        rhs = mv.malcev_member(S, Z, "Sl")
+        if lhs != rhs:
+            _fail(report, semigroup=S.to_json_dict(), variety=name, z=Z,
+                  by_basis=lhs, by_mu=rhs)
+
+
+def suite_prop11_commutation(S, report):
+    for Z in mv.V_SET:
+        for Vn in ("Sl", "G", "A"):
             report.checked += 1
-            lhs = member(S, name)
-            rhs = mv.malcev_member(S, Z, "Sl")
-            if lhs != rhs:
-                _fail(report, semigroup=S.to_json_dict(), variety=name, z=Z,
-                      by_basis=lhs, by_mu=rhs)
-    return report
+            if not mv.locality_commutation_check(S, Z, Vn):
+                _fail(report, semigroup=S.to_json_dict(), z=Z, v=Vn)
 
 
-def suite_prop11_commutation(config):
-    report = SuiteReport("prop11_commutation")
-    corpus = all_semigroups_upto(config.get("max_order", 4))
-    for S in corpus:
-        for Z in mv.V_SET:
-            for Vn in ("Sl", "G", "A"):
-                report.checked += 1
-                if not mv.locality_commutation_check(S, Z, Vn):
-                    _fail(report, semigroup=S.to_json_dict(), z=Z, v=Vn)
-    return report
-
-
-def suite_cor35_idempotency(config):
-    report = SuiteReport("cor35_idempotency")
-    corpus = all_semigroups_upto(config.get("max_order", 4))
-    for S in corpus:
-        for Z in mv.V_SET:
-            report.checked += 1
-            once = mv.malcev_member(S, Z, "Sl")
-            twice = mv.malcev_member_with(
-                S, Z, lambda T: mv.malcev_member(T, Z, "Sl"))
-            if once != twice:
-                _fail(report, semigroup=S.to_json_dict(), z=Z, once=once, twice=twice)
-    return report
+def suite_cor35_idempotency(S, report):
+    for Z in mv.V_SET:
+        report.checked += 1
+        once = mv.malcev_member(S, Z, "Sl")
+        twice = mv.malcev_member_with(
+            S, Z, lambda T: mv.malcev_member(T, Z, "Sl"))
+        if once != twice:
+            _fail(report, semigroup=S.to_json_dict(), z=Z, once=once, twice=twice)
 
 
 def _random_word(rng, letters, max_len=8):
@@ -156,11 +144,10 @@ def _word_pair(rng, letters):
     return u, u[:i] + u[i:j + 1] * 2 + u[j + 1:]  # pump a factor
 
 
-def suite_thm61_words(config):
+def suite_thm61_words(config, report):
     """The triple criterion vs folded free-object images on random word
     pairs, plus a seeded wreath-product soundness spot check on proved
     pairs."""
-    report = SuiteReport("thm61_words")
     rng = random.Random(config.get("seed", 0))
     combos = [("Sl", 1), ("Sl", 2), ("K_2", 1), ("K_2", 2),
               ("D_2", 1), ("D_2", 2), ("N_2", 1), ("N_2", 2)]
@@ -200,25 +187,19 @@ def suite_thm61_words(config):
                     if reduce(mul, map(gens.get, u)) != reduce(mul, map(gens.get, v)):
                         _fail(report, v=Vn, k=k, u=u, w=v,
                               wreath_t=T.to_json_dict(), reason="wreath refutes")
-    return report
 
 
-def suite_thm44_shadow(config):
+def suite_thm44_shadow(S, report):
     """Local membership through the mu-quotients: mu_K vs all-locals-in-R,
     mu_LI vs DA, mu_D vs L."""
-    report = SuiteReport("thm44_shadow")
-    corpus = all_semigroups_upto(config.get("max_order", 4))
-    routes = [("K", "R"), ("LI", "DA"), ("D", "L")]
-    for S in corpus:
-        for Z, local_v in routes:
-            report.checked += 1
-            lhs = mv.lv_member(mv.mu_quotient(S, Z), "Sl")
-            rhs = all(member(sg.local_monoid(S, e), local_v)
-                      for e in S.idempotents())
-            if lhs != rhs:
-                _fail(report, semigroup=S.to_json_dict(), z=Z, locals_in=local_v,
-                      mu_side=lhs, local_side=rhs)
-    return report
+    for Z, local_v in [("K", "R"), ("LI", "DA"), ("D", "L")]:
+        report.checked += 1
+        lhs = mv.lv_member(mv.mu_quotient(S, Z), "Sl")
+        rhs = all(member(sg.local_monoid(S, e), local_v)
+                  for e in S.idempotents())
+        if lhs != rhs:
+            _fail(report, semigroup=S.to_json_dict(), z=Z, locals_in=local_v,
+                  mu_side=lhs, local_side=rhs)
 
 
 def _random_term(rng, letters, depth=2):
@@ -297,13 +278,12 @@ def _raw_ilbf2(u, cap=60):
     return fz.induced_factorization(u, img, _raw_ilbf_term(img, cap=cap))
 
 
-def suite_lemma69_terms(config):
+def suite_lemma69_terms(config, report):
     """For certified-equal omega-term pairs: induced factorization lengths
     agree and componentwise R-route checks never refute; word-level lbf
     obligations hold exhaustively on samples.  The pair's two sides have
     one normal form, so `fz.ilbf2` would read one window image for both:
     the variant goes through the raw route (`_raw_ilbf2`) instead."""
-    report = SuiteReport("lemma69_terms")
     rng = random.Random(config.get("seed", 0))
     made = 0
     attempts = 0
@@ -380,7 +360,6 @@ def suite_lemma69_terms(config):
         r = fz.ilbf2(w)
         if r.factors != factors or r.q != q:
             _fail(report, word=w, got=[r.factors, r.q])
-    return report
 
 
 REGULARITY_SUITE = [
@@ -411,8 +390,7 @@ def _bounded_unfolding_regular(t, k):
     return True
 
 
-def suite_thm610_regularity(config):
-    report = SuiteReport("thm610_regularity")
+def suite_thm610_regularity(config, report):
     for text in REGULARITY_SUITE:
         report.checked += 1
         t = tm.parse_term(text)
@@ -425,11 +403,9 @@ def suite_thm610_regularity(config):
             _fail(report, term=text, verdict=verdict.status, oracle=oracle)
     if report.unknown > 2:
         _fail(report, reason=f"{report.unknown} unknowns exceed the budget of 2")
-    return report
 
 
-def suite_languages_closure(config):
-    report = SuiteReport("languages_closure")
+def suite_languages_closure(config, report):
     report.checked += 1
     syn = lg.syntactic_semigroup(lg.parse_regex("(ab)+")).semigroup
     if not sg.is_isomorphic(syn, sg.catalog("B2")):
@@ -462,12 +438,10 @@ def suite_languages_closure(config):
                         _fail(report, l1=r1, marker=marker, l2=r2, target="LDA")
     if any(v < 50 for v in counts.values()):
         _fail(report, reason=f"too few qualifying samples: {counts}")
-    return report
 
 
-def suite_duality(config):
+def suite_duality(config, report):
     """Identity transport along the mirror map and the mu_K/mu_D duality."""
-    report = SuiteReport("duality")
     rng = random.Random(config.get("seed", 0))
     corpus = all_semigroups_upto(config.get("max_order", 4))
     bank = ["x1^w = x1^w x2", "x1 x2 = x2 x1", "x1^w x2 x1^w = x1^w",
@@ -475,25 +449,22 @@ def suite_duality(config):
             "x1 x2 x1 = x1", "(x1 x2)^w x1 = (x1 x2)^w",
             "x1^w x2^w = x1^w", "x2 x1^w = x1^w", "x1 x2 = x1",
             "(x1 x2)^(2^w) = (x1 x2)^w"]
-    n = config.get("instances", 10_000)
-    for _ in range(n):
+    for _ in range(DUALITY_INSTANCES):
         S = rng.choice(corpus)
         pi = tm.parse_identity(rng.choice(bank))
         report.checked += 1
         if tm.satisfies(S, pi) != tm.satisfies(sg.dual(S), _chi_identity(pi)):
             _fail(report, semigroup=S.to_json_dict(), identity=str(pi))
-    for _ in range(config.get("mu_samples", 100)):
+    for _ in range(DUALITY_MU_SAMPLES):
         S = rng.choice(corpus)
         report.checked += 1
         lhs = sg.quotient(sg.dual(S), mv.mu_z(sg.dual(S), "K"))
         rhs = sg.dual(sg.quotient(S, mv.mu_z(S, "D")))
         if not sg.is_isomorphic(lhs, rhs):
             _fail(report, semigroup=S.to_json_dict(), reason="mu duality broken")
-    return report
 
 
-def suite_enumeration_counts(config):
-    report = SuiteReport("enumeration_counts")
+def suite_enumeration_counts(config, report):
     expected = {1: 1, 2: 5, 3: 24, 4: 188}
     for n, count in expected.items():
         report.checked += 1
@@ -504,7 +475,6 @@ def suite_enumeration_counts(config):
         report.checked += 1
         if len(naive_enumerate(n)) != expected[n]:
             _fail(report, order=n, reason="naive enumerator disagrees")
-    return report
 
 
 SUITES = {
@@ -520,21 +490,46 @@ SUITES = {
     "duality": suite_duality,
     "enumeration_counts": suite_enumeration_counts,
 }
+# The suites that check one corpus semigroup at a time, called as
+# suite(S, report); the others are called as suite(config, report).
+CORPUS_SUITES = ("malcev_equalities", "prop11_commutation",
+                 "cor35_idempotency", "thm44_shadow")
 
 
-def run_suite(name, config=None):
-    config = dict(config or {})
-    fn = SUITES.get(name)
-    if fn is None:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    t0 = time.monotonic()
-    report = fn(config)
-    report.wall_ms = int((time.monotonic() - t0) * 1000)
-    return report
+def run_all(config, names):
+    """Run the named suites and return their reports in that order.  Each
+    suite records into a report made here, and its wall_ms counts only the
+    time spent in its own checks.
 
+    The corpus suites share one sweep over all_semigroups_upto(max_order):
+    each class is copied fresh from its table, checked by every requested
+    corpus suite in turn, and dropped with everything cached on it.  So
+    the shared corpus objects gain no derived data, peak memory does not
+    grow with the corpus, and mu work that several suites read is done
+    once per class and charged to the first suite that reads it."""
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    reports = {name: SuiteReport(name) for name in names}
+    seconds = dict.fromkeys(names, 0.0)
 
-def run_all(config=None, names=None):
-    return [run_suite(n, config) for n in (names or list(SUITES))]
+    def run(name, arg):
+        t0 = time.monotonic()
+        SUITES[name](arg, reports[name])
+        seconds[name] += time.monotonic() - t0
+
+    swept = [name for name in names if name in CORPUS_SUITES]
+    corpus = all_semigroups_upto(config.get("max_order", 4)) if swept else ()
+    for name in names:
+        if name not in CORPUS_SUITES:
+            run(name, config)
+    for S in corpus:
+        copy = sg.FiniteSemigroup(S.table, check=False)
+        for name in swept:
+            run(name, copy)
+    for name in names:
+        reports[name].wall_ms = int(seconds[name] * 1000)
+    return [reports[name] for name in names]
 
 
 def report_lines(reports):

@@ -232,10 +232,9 @@ def test_member_custom_pseudovariety(capsys, tmp_path, lz2_file, b2_file):
                  "--input", b2_file]) == 1
 
 
-def test_permanence_counterexample_replays(capsys, tmp_path):
+def test_permanence_counterexample_replays(capsys, tmp_path, run_suite):
     # the serialized counterexample alone suffices to replay the refutation
-    from finsemi import suites
-    report = suites.run_suite("permanence")
+    report = run_suite("permanence")
     refutations = [e for e in report.examples if e.get("verdict") == "refuted"]
     assert refutations
     ex = refutations[0]

@@ -123,10 +123,12 @@ def test_jsonl_round_trip(tmp_path):
     assert [d["flags"] for d in back] == [cp._flags(S) for S in corpus]
 
 
-def test_suite_determinism():
+def test_suite_determinism(monkeypatch, run_suite):
     from finsemi import suites
-    r1 = suites.run_suite("duality", {"seed": 7, "instances": 300, "mu_samples": 20})
-    r2 = suites.run_suite("duality", {"seed": 7, "instances": 300, "mu_samples": 20})
+    monkeypatch.setattr(suites, "DUALITY_INSTANCES", 300)
+    monkeypatch.setattr(suites, "DUALITY_MU_SAMPLES", 20)
+    r1 = run_suite("duality", {"seed": 7})
+    r2 = run_suite("duality", {"seed": 7})
     d1, d2 = r1.to_json_dict(), r2.to_json_dict()
     d1.pop("wall_ms"), d2.pop("wall_ms")
     assert d1 == d2
