@@ -212,12 +212,6 @@ def vdk_satisfies(V, k, u, v, require_nontrivial_monoid=True):
 # The triple algebra of locally finite V * D_k
 
 
-# The free-object rule (semigroups.free_value / free_mul) of each locally
-# finite V, by V's word problem.
-_FREE_KIND = {"SL_CONTENT": "content", "BOUNDED_PREFIX": "prefix",
-              "BOUNDED_SUFFIX": "suffix", "BOUNDED_WORD": "bounded_word"}
-
-
 class VdkImages:
     """The canonical map of words into the triple algebra of V * D_k:
     short words (length <= k) plus triples (b_k, t_k, [phi_k]_V), with
@@ -228,19 +222,19 @@ class VdkImages:
             V = get_pseudovariety(V)
         if k < 1:
             raise PreconditionViolated(f"the triple algebra needs k >= 1, got {k}")
-        self.kind = _FREE_KIND.get(V.word_problem)
-        if self.kind is None:
+        if V.word_problem not in sg.FREE_RULES:
             raise BudgetExceeded(f"{V.name} has no finite free-object backend")
+        self.rule = V.word_problem
         self.V = V
         self.k = k
         self.bound = V.word_problem_bound
 
     def _value(self, w):
         """The V-value of the window image of a word longer than k."""
-        return sg.free_value(self.kind, phi_k(w, self.k).blocks, self.bound)
+        return sg.free_value(self.rule, phi_k(w, self.k).blocks, self.bound)
 
     def _mul(self, e1, e2):
-        k, kind, bound = self.k, self.kind, self.bound
+        k, rule, bound = self.k, self.rule, self.bound
         if e1[0] == "short" and e2[0] == "short":
             w = e1[1] + e2[1]
             if len(w) <= k:
@@ -249,15 +243,15 @@ class VdkImages:
         if e1[0] == "short":
             _, p, s, f = e2
             w = e1[1] + p
-            return ("triple", w[:k], s, sg.free_mul(kind, self._value(w), f, bound))
+            return ("triple", w[:k], s, sg.free_mul(rule, self._value(w), f, bound))
         if e2[0] == "short":
             _, p, s, f = e1
             w = s + e2[1]
-            return ("triple", p, w[-k:], sg.free_mul(kind, f, self._value(w), bound))
+            return ("triple", p, w[-k:], sg.free_mul(rule, f, self._value(w), bound))
         _, p1, s1, f1 = e1
         _, p2, s2, f2 = e2
-        left = sg.free_mul(kind, f1, self._value(s1 + p2), bound)  # f1 . bridge
-        return ("triple", p1, s2, sg.free_mul(kind, left, f2, bound))
+        left = sg.free_mul(rule, f1, self._value(s1 + p2), bound)  # f1 . bridge
+        return ("triple", p1, s2, sg.free_mul(rule, left, f2, bound))
 
     def image_of_word(self, word):
         """Fold a word through the letter images; the canonical homomorphism."""

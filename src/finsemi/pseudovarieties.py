@@ -19,6 +19,7 @@ from . import semigroups as sg
 from . import terms as tm
 from .corpus import all_semigroups_upto
 from .errors import UnknownName, WrongAlphabet
+from .semigroups import FREE_RULES
 
 
 @dataclass(frozen=True, eq=True)
@@ -66,13 +67,6 @@ def refuted(witness=None):
 #   - s t^e = t^e and t^e s = t^e when s t = t (resp. t s = t) is certified
 
 _EXPAND_CAP = 64
-
-# The one hand-rolled memo: ("L" | "R", g, base) -> whether g is absorbed
-# by base on that side.  It cannot be a functools.cache, because a key
-# stores the conservative answer False while it is being computed; that
-# sentinel is what stops the _absorbs -> _combine -> _absorbs recursion
-# from cycling.
-_absorb_memo = {}
 
 
 @cache
@@ -217,18 +211,23 @@ def _combine(factors):
         factors = new
 
 
+@cache
 def _absorbs(side, g, base):
     """Whether g t = t (side "L") or t g = t (side "R") is certified,
-    for t the product of base's factors."""
-    key = (side, g, base)
-    cached = _absorb_memo.get(key)
-    if cached is not None:
-        return cached
-    _absorb_memo[key] = False  # in-progress sentinel; conservative
+    for t the product of base's factors.
+
+    The recursion through _combine is well-founded.  Every nested call
+    _absorbs(s', x, c), made while combining [g] + fs (or fs + [g]), has
+    _term_size(x) + _term_size(c) < _term_size(g) + _term_size(base):
+      - c is the base of a limit power in the list, so a proper subterm
+        of g or of a factor of base: merges, word-copy folds and integer
+        power expansions build limit exponents only from limit powers
+        already there, and keep their bases;
+      - x, the neighbour, is built from the other material of g and
+        base, or from a disjoint part of one expanded integer power.
+    So no call waits on itself, and the answer depends only on the key."""
     fs = _factors(base)
-    res = _combine([g] + fs if side == "L" else fs + [g]) == fs
-    _absorb_memo[key] = res
-    return res
+    return _combine([g] + fs if side == "L" else fs + [g]) == fs
 
 
 @cache
@@ -579,11 +578,6 @@ def _free_group_word(t):
     return out
 
 
-# Word problems that word_problem_equal decides on plain words by slicing.
-_SLICEABLE = frozenset({"SL_CONTENT", "BOUNDED_PREFIX", "BOUNDED_SUFFIX",
-                        "BOUNDED_WORD"})
-
-
 def word_problem_equal(V, u, v):
     """Exact or semi-decision of V |= u = v via V's word problem.
 
@@ -600,7 +594,7 @@ def word_problem_equal(V, u, v):
         u, v = tm._as_word(u), tm._as_word(v)
         if not u or not v:
             raise ValueError("empty concatenation")
-        if wp not in _SLICEABLE:
+        if wp not in FREE_RULES:
             u, v, words = tm.word_term(u), tm.word_term(v), False
     if wp == "SL_CONTENT":
         same = set(u) == set(v) if words else tm.content(u) == tm.content(v)

@@ -549,66 +549,57 @@ def _words_upto(letters, k):
 
 
 # The free objects of Sl, K_k, D_k and N_k on an alphabet.  An element is
-# the value of a nonempty word under one of four rules (the kind); words
-# may be strings or tuples of letters.
+# the value of a nonempty word under the rule named by the word-problem id
+# of the pseudovariety; words may be strings or tuples of letters.
 
 FREE_ZERO = "0"
+FREE_RULES = frozenset({"SL_CONTENT", "BOUNDED_PREFIX", "BOUNDED_SUFFIX",
+                        "BOUNDED_WORD"})
 
 
-def free_value(kind, word, k):
+def free_value(rule, word, k):
     """The element of the free object represented by a nonempty word: its
-    content ("content", Sl), its length-<=k prefix ("prefix", K_k) or
-    suffix ("suffix", D_k), or the word itself while shorter than k and
-    the zero otherwise ("bounded_word", N_k)."""
-    if kind == "content":
+    content (SL_CONTENT, Sl), its length-<=k prefix (BOUNDED_PREFIX, K_k)
+    or suffix (BOUNDED_SUFFIX, D_k), or the word itself while shorter
+    than k and the zero otherwise (BOUNDED_WORD, N_k)."""
+    if rule == "SL_CONTENT":
         return frozenset(word)
-    if kind == "prefix":
+    if rule == "BOUNDED_PREFIX":
         return word[:k]
-    if kind == "suffix":
+    if rule == "BOUNDED_SUFFIX":
         return word[-k:]
     return word if len(word) < k else FREE_ZERO
 
 
-def free_mul(kind, x, y, k):
+def free_mul(rule, x, y, k):
     """The product of two elements given by free_value."""
-    if kind == "content":
+    if rule == "SL_CONTENT":
         return x | y
-    if kind == "bounded_word" and FREE_ZERO in (x, y):
+    if rule == "BOUNDED_WORD" and FREE_ZERO in (x, y):
         return FREE_ZERO
-    return free_value(kind, x + y, k)
+    return free_value(rule, x + y, k)
 
 
-def _free_object(kind, k, letters):
+def _free_object(rule, k, letters):
     if k < 1:
         raise ValueError(f"free objects need k >= 1, got {k}")
-    bounded = kind == "bounded_word"
+    bounded = rule == "BOUNDED_WORD"
     if bounded and FREE_ZERO in letters:
         raise PreconditionViolated(f"letter {FREE_ZERO!r} is the label of the zero")
     words = _words_upto(letters, k - 1 if bounded else k)
     if bounded:
         words.append(FREE_ZERO)
     idx = {w: i for i, w in enumerate(words)}
-    table = [[idx[free_mul(kind, u, v, k)] for v in words] for u in words]
+    table = [[idx[free_mul(rule, u, v, k)] for v in words] for u in words]
     gens = [idx[FREE_ZERO]] if bounded and k == 1 else [idx[a] for a in letters]
     return FiniteSemigroup(table, labels=words, generators=gens, check=False)
 
 
-def free_d(k, letters):
-    """Free object of D_k on the given letters: words of length <= k
-    multiplying by u.v = suffix_k(uv)."""
-    return _free_object("suffix", k, letters)
-
-
-def free_k(k, letters):
-    """Free object of K_k: words of length <= k with u.v = prefix_k(uv)."""
-    return _free_object("prefix", k, letters)
-
-
-def free_n(k, letters):
-    """Free object of N_k = K_k meet D_k: words of length < k plus a zero
-    absorbing every longer product."""
-    return _free_object("bounded_word", k, letters)
-
+# The catalog's free objects of D_k, K_k and N_k = K_k meet D_k, by rule:
+# words of length <= k multiplying by u.v = suffix_k(uv) or prefix_k(uv),
+# and words of length < k plus a zero absorbing every longer product.
+_FREE_OBJECTS = {"free_d": "BOUNDED_SUFFIX", "free_k": "BOUNDED_PREFIX",
+                 "free_n": "BOUNDED_WORD"}
 
 _CATALOG = {
     "trivial": lambda: _cyclic(1),
@@ -620,9 +611,6 @@ _CATALOG = {
     "right_zero": _right_zero,
     "null": _null,
     "free_band_2": _free_band_2,
-    "free_d": free_d,
-    "free_k": free_k,
-    "free_n": free_n,
 }
 
 
@@ -630,13 +618,13 @@ def catalog(name, *args):
     """Named test semigroups: B2, B2_1, U1, cyclic(n), left_zero(n),
     right_zero(n), null(n), free_band_2, free_d(k, letters),
     free_k(k, letters), free_n(k, letters)."""
+    if name in _FREE_OBJECTS:
+        k, letters = args
+        if len(letters) > 3 or k > 4:
+            raise BudgetExceeded("free objects limited to <= 3 letters, k <= 4")
+        return _free_object(_FREE_OBJECTS[name], k, letters)
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise UnknownName(f"unknown catalog name {name!r}") from None
-    if name in ("free_d", "free_k", "free_n"):
-        k, letters = args
-        if len(letters) > 3 or k > 4:
-            raise BudgetExceeded("free objects limited to <= 3 letters, k <= 4")
-        return builder(k, letters)
     return builder(*args)

@@ -2,10 +2,12 @@
 functools.cache on the function that computes it; derived data of one
 semigroup (each element's index, period and omega power, local monoids,
 mu quotients, membership verdicts, generating tuples) is cached on the
-instance and dies with it.  The one hand-rolled memo is
-pseudovarieties._absorb_memo, whose in-progress sentinel a
-functools.cache cannot express.  The memoized term maps (canon,
-pseudovarieties._certified_idempotent and _term_size, dk.phi_k_term,
+instance and dies with it.  Every memo of the certifier is a
+functools.cache keyed by terms (canon, pseudovarieties._absorbs,
+_certified_idempotent and _term_size): the absorption test recurses
+through the combine pass only on arguments of smaller joint term size,
+so it needs no in-progress sentinel, and normal forms do not depend on
+call history.  The memoized term maps (canon, dk.phi_k_term,
 factorization.lbf_term, term_signature, _zero_offsets and _lastmap),
 the factorizations memoized by normal form
 (factorization._ilbf2_of_normal_form, keyed by (canon(t), cap), and
@@ -35,9 +37,6 @@ from finsemi import terms as tm
 from finsemi.corpus import all_semigroups_upto, enumerate_semigroups
 from finsemi.errors import UnsupportedShape
 
-HAND_ROLLED = {"_absorb_memo"}
-
-
 def _none_or_empty(node):
     if isinstance(node, ast.Constant):
         return node.value is None
@@ -65,18 +64,15 @@ def test_no_module_level_mutable_state():
             else:
                 continue
             for target in targets:
-                if (isinstance(target, ast.Name) and target.id not in HAND_ROLLED
-                        and _none_or_empty(value)):
+                if isinstance(target, ast.Name) and _none_or_empty(value):
                     offences.append(f"{path.name}:{node.lineno} {target.id}")
     assert offences == []
 
 
 def _clear_canon():
-    # _certified_idempotent is computed under _absorb_memo's in-progress
-    # sentinel, so it is cleared with it
     pv.canon.cache_clear()
     pv._certified_idempotent.cache_clear()
-    pv._absorb_memo.clear()
+    pv._absorbs.cache_clear()
 
 
 def _forward_and_backward(fn, clear, terms):

@@ -336,7 +336,7 @@ def test_ilbf_term_matches_the_raw_route():
 def _clear_memos():
     pv.canon.cache_clear()
     pv._certified_idempotent.cache_clear()
-    pv._absorb_memo.clear()
+    pv._absorbs.cache_clear()
     fz.term_signature.cache_clear()
     fz.lbf_term.cache_clear()
     fz._zero_offsets.cache_clear()

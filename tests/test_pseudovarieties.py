@@ -310,7 +310,7 @@ def _reference_combine_pass(factors):
 def _clear_certifier_memos():
     pv.canon.cache_clear()
     pv._certified_idempotent.cache_clear()
-    pv._absorb_memo.clear()
+    pv._absorbs.cache_clear()
 
 
 def _combine_pass_inputs():
@@ -363,6 +363,37 @@ def test_combine_pass_matches_the_reference_pass(monkeypatch):
     assert [f is r for f, r in zip(fast, reference, strict=True)] == [True] * len(terms)
     assert sum(f is not t for f, t in zip(fast, terms)) > 1000  # canon rewrote
     assert fast_raw == reference_raw
+
+
+def test_absorption_recurses_on_smaller_terms(monkeypatch):
+    # _absorbs's docstring rests on this measurement: a nested call's
+    # joint term size is below that of the call it is made from
+    terms = []
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            t = suites._random_term(rng, "ab")
+            terms += [t, suites._sound_variant(rng, t)]
+    cached = pv._absorbs
+    sizes, nested = [], []
+
+    def absorbs(side, g, base):
+        size = pv._term_size(g) + pv._term_size(base)
+        if sizes:
+            nested.append((sizes[-1], size, side, g, base))
+        sizes.append(size)
+        try:
+            return cached(side, g, base)
+        finally:
+            sizes.pop()
+
+    _clear_certifier_memos()
+    monkeypatch.setattr(pv, "_absorbs", absorbs)
+    for t in terms:
+        pv.canon(t)
+    assert nested
+    for outer, inner, side, g, base in nested:
+        assert inner < outer, (side, tm.term_to_text(g), tm.term_to_text(base))
 
 
 def test_left_permanence_of_display_list():

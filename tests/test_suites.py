@@ -1,8 +1,10 @@
 """The suite runner: the corpus suites share one sweep over fresh copies
-of the corpus classes, and each of them fails under a planted defect."""
+of the corpus classes, and each of them fails under a planted defect, as
+thm61_words does under a defect in one free-object rule."""
 
 import pytest
 
+from finsemi import dk
 from finsemi import malcev as mv
 from finsemi import semigroups as sg
 from finsemi import suites
@@ -55,3 +57,29 @@ def test_planted_defects_fail_through_the_sweep(monkeypatch, plant, names):
             replay = suites.SuiteReport(report.suite)
             suites.SUITES[report.suite](S, replay)
             assert ex in replay.examples
+
+
+@pytest.mark.parametrize("rule, planted", [
+    ("BOUNDED_PREFIX", lambda word, k: word[:k - 1]),
+    ("BOUNDED_SUFFIX", lambda word, k: word[:k]),
+    ("BOUNDED_WORD", lambda word, k: word if len(word) <= k else sg.FREE_ZERO),
+], ids=["prefix_short", "suffix_as_prefix", "bounded_word_long"])
+def test_planted_free_rule_defects_fail_thm61(monkeypatch, rule, planted):
+    # the K_k prefix one letter short, the D_k suffix read as the prefix,
+    # N_k keeping words of length k
+    honest = sg.free_value
+
+    def free_value(r, word, k):
+        return planted(word, k) if r == rule else honest(r, word, k)
+
+    monkeypatch.setattr(suites, "THM61_PAIRS", 300)
+    monkeypatch.setattr(sg, "free_value", free_value)
+    report = suites.run_all({}, ["thm61_words"])[0]
+    monkeypatch.undo()
+    assert report.failed > 0
+    # each failure is the planted rule's: without it, the two sides agree
+    for ex in report.examples:
+        F = dk.VdkImages(ex["v"], ex["k"])
+        verdict = dk.vdk_satisfies(ex["v"], ex["k"], ex["u"], ex["w"],
+                                   require_nontrivial_monoid=False)
+        assert verdict.proved == (F.image_of_word(ex["u"]) == F.image_of_word(ex["w"]))
