@@ -18,7 +18,7 @@ from . import suites
 from . import terms as tm
 from .corpus import all_semigroups_upto, write_jsonl
 from .errors import BudgetExceeded, FinsemiError
-from .pseudovarieties import get_pseudovariety, member
+from .pseudovarieties import get_pseudovariety, load_pseudovariety, member
 
 
 def _load_semigroup(path):
@@ -63,7 +63,6 @@ def cmd_ident_check(args):
 
 def _load_pseudovariety(spec):
     if spec.startswith("@"):
-        from .pseudovarieties import load_pseudovariety
         with open(spec[1:]) as fh:
             return load_pseudovariety(json.load(fh))
     return get_pseudovariety(spec)
@@ -82,7 +81,7 @@ def cmd_malcev(args):
     V = _load_pseudovariety(args.v)
     ok = mv.malcev_member(S, args.z, V)
     out = {"member": ok}
-    if args.z not in ("N", "NvG"):
+    if args.z not in mv.MEETS:
         out["mu_quotient_order"] = mv.mu_quotient(S, args.z).order
     witness = mv.mu_witness(S, args.z, V) if ok else None
     if witness is not None:

@@ -89,18 +89,16 @@ def _word_image(w, k):
 
 
 def _phi_prefixed(prefix, f, k):
-    """phi_k(prefix . f) for a word prefix of length <= k."""
+    """phi_k(prefix . f) for a word prefix of length <= k.  f is a part of
+    a flattened Concat, so a Letter or a Power, and one that is no finite
+    word is a Power."""
     if not prefix:
         return phi_k_term(f, k)
     w = tm.is_finite_word(f)
     if w is not None:
         return _word_image(tuple(prefix) + w, k)
-    if isinstance(f, tm.Power):
-        head = _word_image(tuple(prefix) + tm.beta_k(f, k), k)
-        return _cat(head, phi_k_term(f, k))
-    if isinstance(f, tm.Concat):
-        return phi_k_term(tm.concat(tm.word_term(prefix), f), k)
-    raise UnsupportedShape(f"cannot lift {f!r}")
+    head = _word_image(tuple(prefix) + tm.beta_k(f, k), k)
+    return _cat(head, phi_k_term(f, k))
 
 
 @cache
@@ -119,31 +117,24 @@ def phi_k_term(t, k):
             acc = _cat(acc, _phi_prefixed(suffix, f, k))
             suffix = tm.tau_k(tm.concat(*map(tm.Letter, suffix), f), k)
         return acc
-    if isinstance(t, tm.Power):
-        base, exp = t.base, t.exp
-        head, exact = tm.prefix_word(base, k + 1)
-        if exact and len(head) <= k:
-            # short word base: raise it to a power of length >= k+1 first
-            wbase = head
-            j = -(-(k + 1) // len(wbase))
-            if isinstance(exp, int):
-                q2, r = divmod(exp, j)
-            elif exp.kind == "omega":
-                q2, r = divmod(exp.offset, j)
-                q2 = tm.omega(q2)
-            else:
-                raise UnsupportedShape(
-                    "p^omega power of a base shorter than k+1 is not liftable")
-            pieces = [tm.power(tm.word_term(wbase * j), q2)] if q2 != 0 else []
-            if r:
-                pieces.append(tm.word_term(wbase * r))
-            return phi_k_term(tm.concat(*pieces), k)
-        # base of length >= k+1: phi(u^e) = phi(u b_k(u))^(e-1) . phi(u)
-        core = phi_k_term(tm.concat(base, *map(tm.Letter, tm.beta_k(base, k))), k)
-        tail = phi_k_term(base, k)
-        return _cat(tm.power(core, tm._exp_minus_one(exp)), tail)
-    # a single letter has an empty image for k >= 1
-    return None if k >= 1 else tm.Letter((t.symbol,))
+    # t is a Power that is no finite word (a Letter is one)
+    base, exp = t.base, t.exp
+    head, exact = tm.prefix_word(base, k + 1)
+    if exact and len(head) <= k:
+        # a short word base, so exp is a limit (a finite word under an
+        # integer power is a finite word): raise the base to a power of
+        # length >= k+1 first
+        if exp.kind != "omega":
+            raise UnsupportedShape(
+                "p^omega power of a base shorter than k+1 is not liftable")
+        j = -(-(k + 1) // len(head))
+        q2, r = divmod(exp.offset, j)
+        return phi_k_term(tm.concat(tm.power(tm.word_term(head * j), tm.omega(q2)),
+                                    tm.word_term(head * r) if r else None), k)
+    # base of length >= k+1: phi(u^e) = phi(u b_k(u))^(e-1) . phi(u)
+    core = phi_k_term(tm.concat(base, *map(tm.Letter, tm.beta_k(base, k))), k)
+    tail = phi_k_term(base, k)
+    return _cat(tm.power(core, tm._exp_minus_one(exp)), tail)
 
 
 # ---------------------------------------------------------------------------

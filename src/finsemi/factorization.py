@@ -104,7 +104,8 @@ def ilbf(u):
 
 def _split_factors(factors, acc, full):
     """Walk a factor list accumulating content; split at the completing
-    letter, cutting inside powers via u^e = u . u^(e-1)."""
+    letter, cutting inside powers via u^e = u . u^(e-1).  The list holds
+    the parts of a Concat or a power base, so Letters and Powers only."""
     x_parts = []
     for idx, f in enumerate(factors):
         fc = tm.content(f)
@@ -118,15 +119,10 @@ def _split_factors(factors, acc, full):
         rest = list(factors[idx + 1:])
         if isinstance(f, tm.Letter):
             return x_parts, f.symbol, rest
-        if isinstance(f, tm.Power):
-            inner = f.base.parts if isinstance(f.base, tm.Concat) else [f.base]
-            xb, a, yb = _split_factors(list(inner), acc, full)
-            e1 = tm._exp_minus_one(f.exp)
-            tail = [] if (isinstance(e1, int) and e1 == 0) else [tm.power(f.base, e1)]
-            return x_parts + xb, a, yb + tail + rest
-        # f is a Concat (only when called on a power base)
-        xb, a, yb = _split_factors(list(f.parts), acc, full)
-        return x_parts + xb, a, yb + rest
+        inner = f.base.parts if isinstance(f.base, tm.Concat) else [f.base]
+        xb, a, yb = _split_factors(list(inner), acc, full)
+        # an integer exponent is at least 2, so u^(e-1) is never empty
+        return x_parts + xb, a, yb + [tm.power(f.base, tm._exp_minus_one(f.exp))] + rest
     raise UnsupportedShape("content never completed during the scan")
 
 
@@ -225,23 +221,6 @@ def _unphi_term(t):
     return tm.concat(tm.Letter(first_block[0]), _lastmap(t))
 
 
-def _ilbf2_degenerate(u, img_content, length, is_word):
-    # c(phi_1(u)) is a single block (x, y): either u = xy, or x = y and
-    # every factor is the letter x
-    (x, y) = next(iter(img_content))
-    if x != y:
-        # u is the two-letter word xy
-        q = (tm.tau_k(u, 1)[0]) if not is_word else u[-1]
-        u1 = (x,) if is_word else tm.Letter(x)
-        return Ilbf2Result("finite", [u1], q=(q,) if is_word else tm.Letter(q))
-    u_i = (x,) if is_word else tm.Letter(x)
-    if length is None:
-        return Ilbf2Result("infinite", [], q=None, witness=u_i)
-    factors = [u_i] * length
-    q = (x,) if is_word else tm.Letter(x)
-    return Ilbf2Result("finite", factors, q=q)
-
-
 def window_image(t, k):
     """The window image phi_k of the pseudoword t, lifted from its normal
     form canon(t) (None for the empty image).
@@ -273,10 +252,11 @@ def ilbf2(u, cap=60):
         if len(w) < 2:
             raise ValueError("ilbf2 requires |u| >= 2")
         img = dk.phi_k(w, 1).blocks
+        if len(set(img)) == 1:
+            # one block (x, y): w is xy, or x = y and w is x^n; ilbf(img)
+            # would take each block as a factor with an empty x-part
+            return Ilbf2Result("finite", [w[:1]] * (len(w) - 1), q=w[-1:])
         res = ilbf(img)
-        img_content = set(img)
-        if len(img_content) == 1:
-            return _ilbf2_degenerate(w, img_content, len(res.factors), True)
         factors = [_unphi_word(x) for (x, _a) in res.factors]
         if res.remainder:
             q = _unphi_word(res.remainder)
@@ -304,10 +284,14 @@ def induced_factorization(u, img, res):
         return Ilbf2Result("unknown", [], witness=res.cap)
     img_content = tm.content(img)
     if len(img_content) == 1:
-        return _ilbf2_degenerate(u, img_content, res.length, False)
-    factors = [_unphi_term(x) if x is not None else None for (x, _a) in res.factors]
-    if any(f is None for f in factors):
-        raise UnsupportedShape("empty x-part outside the degenerate case")
+        # one block (x, y): u is xy, whose image is one letter, or x = y
+        # and every factor is the letter x
+        (x, y) = next(iter(img_content))
+        if res.outcome == "infinite":
+            return Ilbf2Result("infinite", [], witness=tm.Letter(x))
+        return Ilbf2Result("finite", [tm.Letter(x)] * res.length, q=tm.Letter(y))
+    # the content has at least two blocks, so every x-part is nonempty
+    factors = [_unphi_term(x) for (x, _a) in res.factors]
     if res.outcome == "infinite":
         return Ilbf2Result("infinite", factors, witness=res.witness)
     if res.remainder is not None:

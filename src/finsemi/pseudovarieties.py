@@ -280,8 +280,8 @@ def canon(t):
 
 
 def _canon_power(base, exp):
-    if isinstance(exp, int) and exp == 1:
-        return base
+    """canon of base^exp for a normal form base and the exponent of a
+    Power: an integer of at least 2, or a limit."""
     # collapse nested powers where sound
     if isinstance(base, tm.Power):
         collapsed = _power_of_power(base.base, base.exp, exp)

@@ -179,8 +179,7 @@ class FiniteSemigroup:
 
     @classmethod
     def from_json_dict(cls, d):
-        sgp = from_table(d["table"], labels=d.get("labels"),
-                         generators=d.get("generators"))
+        sgp = cls(d["table"], labels=d.get("labels"), generators=d.get("generators"))
         if "order" in d and d["order"] != sgp.order:
             raise OutOfRangeEntry("declared order does not match table")
         return sgp
@@ -188,21 +187,11 @@ class FiniteSemigroup:
 
 @cache
 def _stable_prime_residue(p, modulus):
-    """lim p^(n!) mod modulus; constant once n >= modulus."""
-    if modulus == 1:
-        return 0
-    n = max(4, modulus)
-    r1 = pow(p, math.factorial(n), modulus)
-    r2 = pow(p, math.factorial(n + 1), modulus)
-    while r1 != r2:  # defensive; the bound above already guarantees equality
-        n += 1
-        r1, r2 = r2, pow(p, math.factorial(n + 1), modulus)
-    return r1
-
-
-def from_table(table, labels=None, generators=None):
-    """Validate a square matrix as a semigroup table."""
-    return FiniteSemigroup(table, labels=labels, generators=generators, check=True)
+    """lim p^(n!) mod modulus, which p^(n!) reaches once n >= modulus.
+    Write modulus = p^a m' with p not dividing m'.  For n >= modulus,
+    the Carmichael exponent lambda(m') <= m' <= n divides n!, so p^(n!) is
+    1 mod m', and a < modulus <= n!, so p^(n!) is 0 mod p^a."""
+    return pow(p, math.factorial(modulus), modulus)
 
 
 class GreenData:

@@ -177,10 +177,6 @@ class Power(Term):
         return _power(base, exp)
 
 
-def letter(sym):
-    return Letter(sym)
-
-
 def concat(*terms):
     """Flattening concatenation constructor."""
     parts = []
@@ -376,10 +372,8 @@ def term_to_text(t):
     if isinstance(t, Letter):
         return _sym_text(t.symbol)
     if isinstance(t, Concat):
-        return " ".join(
-            term_to_text(p) if not isinstance(p, Concat) else f"({term_to_text(p)})"
-            for p in t.parts
-        )
+        # Concat parts are flattened, so no part needs parentheses
+        return " ".join(map(term_to_text, t.parts))
     base = term_to_text(t.base)
     if not isinstance(t.base, Letter):
         base = f"({base})"

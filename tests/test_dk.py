@@ -8,7 +8,7 @@ from finsemi import pseudovarieties as pv
 from finsemi import semigroups as sg
 from finsemi import suites
 from finsemi import terms as tm
-from finsemi.errors import PreconditionViolated, UnsupportedShape
+from finsemi.errors import BudgetExceeded, PreconditionViolated, UnsupportedShape
 
 BANK = None
 
@@ -285,6 +285,11 @@ def test_triple_algebra_needs_positive_k():
     # at k = 0 the suffix slice w[-0:] would be the whole word
     with pytest.raises(PreconditionViolated):
         dk.VdkImages("Sl", 0)
+
+
+def test_triple_algebra_needs_a_finite_free_object():
+    with pytest.raises(BudgetExceeded):
+        dk.VdkImages("G", 1)
 
 
 def test_term_verdicts_in_materialized_wreaths():

@@ -172,6 +172,18 @@ def test_ilbf2_cap_in_the_degenerate_case():
     assert res.factors == [tm.Letter("a")] * 49 and res.q == tm.Letter("a")
 
 
+def test_one_block_words_match_the_term_route():
+    # a word whose window image is one block is answered without
+    # factorizing the image; the term route still factorizes it
+    words = [x + y for x in "abc" for y in "abc" if x != y]
+    words += [x * n for x in "abc" for n in range(2, 9)]
+    for w in words:
+        word, term = fz.ilbf2(w), fz.ilbf2(tm.word_term(w))
+        assert word.outcome == term.outcome == "finite"
+        assert word.factors == [(f.symbol,) for f in term.factors], w
+        assert word.q == (term.q.symbol,), w
+
+
 def bounded_unfolding_regular(t, k):
     """Oracle: replace limit exponents by M in {4, 6, 8}; the term is
     regular iff the ilbf length of the window image keeps growing."""
@@ -229,6 +241,9 @@ def test_r_equal_examples():
     assert fz.r_equal("ab", "ba").refuted
     assert fz.r_equal("ab", "ab").proved
     assert fz.r_equal(T("(a b)^w"), T("(b a)^w")).refuted
+    # over four letters the R-corpus search is skipped
+    assert fz.r_equal(T("(a b c d)^w a"), T("(a b c d)^w")).proved
+    assert fz.r_equal(T("a b c d a"), T("a b c d b")).witness == "contents differ"
 
 
 def test_r_equal_sound_against_large_r_member():

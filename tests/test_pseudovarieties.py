@@ -157,6 +157,43 @@ def test_certifier_soundness_audit(monkeypatch):
             assert tm.satisfies(S, pi)
 
 
+@pytest.mark.parametrize("e1, e2, want", [
+    ("3", "2", "a^6"),
+    ("(w+1)", "2", "a^(w+2)"),
+    ("2", "(w+1)", "a^(w+2)"),
+    ("(w+1)", "(w+2)", "a^(w+2)"),
+    ("(2^w+1)", "w", "a^w"),
+    ("(2^w+1)", "(w+1)", "a^(2^w+1)"),
+    ("w", "(2^w)", "a^w"),
+    ("(2^w)", "(2^w)", "a^(2^w)"),
+    ("(2^w)", "2", None),  # p^w+r under an integer
+    ("(2^w+1)", "(w+2)", None),  # p^w+r under w+q, q not 0 or 1
+    ("2", "(2^w)", None),  # an integer under p^w+q
+    ("(w+1)", "(2^w)", None),  # under p^w+q, anything but w and p^w itself
+], ids=["int/int", "w+q/int", "int/w+q", "w+q/w+q", "p^w/w", "p^w/w+1",
+        "w/p^w", "p^w/p^w", "none:p^w/int", "none:p^w/w+2", "none:int/p^w",
+        "none:w+1/p^w"])
+def test_power_of_power_collapses_only_soundly(e1, e2, want):
+    a = tm.Letter("a")
+    e1, e2 = T(f"a^{e1}").exp, T(f"a^{e2}").exp
+    got = pv._power_of_power(a, e1, e2)
+    if want is None:
+        assert got is None
+        return
+    assert got is T(want)
+    nested = tm.Power(tm.Power(a, e1), e2)
+    for S in [*all_semigroups_upto(4), sg.catalog("cyclic", 6)]:
+        for x in range(S.order):
+            assert tm.evaluate(got, S, {"a": x}) == tm.evaluate(nested, S, {"a": x})
+
+
+def test_canon_collapses_integer_powers_past_the_expansion_cap():
+    # 65 factors pass _EXPAND_CAP, so a^65 stays a power and the nested
+    # power reaches _power_of_power
+    assert pv.canon(T("(a^65)^2")) is T("a^130")
+    assert pv.canon(T("(a^65)^w")) is T("a^w")
+
+
 def test_normal_forms_hold_in_every_small_semigroup():
     # each rewrite t -> canon(t) on lemma69 terms holds in every semigroup
     # of order <= 4, checked by evaluation alone
@@ -451,6 +488,10 @@ def test_word_problem_k():
     assert pv.word_problem_equal("K", T("a b a"), T("a b a")).proved
     assert pv.word_problem_equal("K", T("a b"), T("a b a")).refuted
     assert pv.word_problem_equal("K", T("a (b a)^w"), T("(a b)^w")).proved
+    # the left contour of a power whose base is already infinite, and of
+    # an integer power of a finite word
+    assert pv.word_problem_equal("K", T("(a^w b)^w"), T("a^w")).proved
+    assert pv.word_problem_equal("K", T("(a b)^3 c^w"), T("a b a b a b c^w")).proved
 
 
 def test_word_problem_d_mirror():

@@ -27,7 +27,7 @@ def brute_right_ideal(S, x):
 
 
 def test_from_table_trivial():
-    S = sg.from_table([[0]])
+    S = sg.FiniteSemigroup([[0]])
     assert S.order == 1
     assert S.idempotents() == {0}
 
@@ -42,19 +42,19 @@ def test_from_table_u1():
 def test_from_table_rejects_non_associative():
     # x*y = x except 1*1 = 0 breaks (1*1)*1 = 0 vs 1*(1*1) = 1
     with pytest.raises(NonAssociative) as ei:
-        sg.from_table([[0, 0], [1, 0]])
+        sg.FiniteSemigroup([[0, 0], [1, 0]])
     assert len(ei.value.witness) == 3
 
 
 def test_from_table_rejects_out_of_range():
     with pytest.raises(OutOfRangeEntry):
-        sg.from_table([[0, 2], [0, 1]])
+        sg.FiniteSemigroup([[0, 2], [0, 1]])
     with pytest.raises(OutOfRangeEntry):
         sg.FiniteSemigroup.from_json_dict({"table": [[0]], "generators": [7]})
     with pytest.raises(OutOfRangeEntry):
         sg.FiniteSemigroup.from_json_dict({"table": [[0, 0], [0, 1]], "labels": ["a"]})
     with pytest.raises(OutOfRangeEntry):
-        sg.from_table([[0]], labels=["a", "b"])
+        sg.FiniteSemigroup([[0]], labels=["a", "b"])
     with pytest.raises(OutOfRangeEntry):
         sg.FiniteSemigroup.from_json_dict({"table": []})
     # bool is a subclass of int, but true/false are not element indices
@@ -496,7 +496,7 @@ def test_canonical_form_idempotent_under_relabeling():
     B2 = sg.catalog("B2")
     perm = [2, 0, 4, 1, 3]
     inv = sg._inverse(perm)
-    relabeled = sg.from_table(
+    relabeled = sg.FiniteSemigroup(
         [[perm[B2.table[inv[x]][inv[y]]] for y in range(5)] for x in range(5)]
     )
     assert sg.canonical_table(relabeled) == sg.canonical_table(B2)
@@ -684,4 +684,4 @@ def test_corpus_canonical_forms_survive_relabeling():
         relabeled = [[perm[S.table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
         flat = tuple(v for row in S.table for v in row)
         assert sg.canonical_form(relabeled) == flat
-        assert sg.canonical_table(sg.from_table(relabeled)) == flat
+        assert sg.canonical_table(sg.FiniteSemigroup(relabeled)) == flat

@@ -21,11 +21,17 @@ def _without_wall(report):
     return d
 
 
+def _state(S):
+    """Every attribute of S: the table and its metadata, and each derived
+    slot (_green, _idempotents, _cycles, _canon, _derived), dicts copied."""
+    return {name: dict(v) if isinstance(v, dict) else v for name, v in vars(S).items()}
+
+
 def test_the_sweep_shares_nothing_and_leaks_nothing():
     corpus = all_semigroups_upto(3)
-    before = [set(S._derived) for S in corpus]
+    before = [_state(S) for S in corpus]
     swept = suites.run_all(CONFIG, list(suites.CORPUS_SUITES))
-    assert [set(S._derived) for S in corpus] == before
+    assert [_state(S) for S in corpus] == before
     assert [r.suite for r in swept] == list(suites.CORPUS_SUITES)
     for report in swept:
         alone = suites.run_all(CONFIG, [report.suite])[0]
