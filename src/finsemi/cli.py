@@ -85,8 +85,8 @@ def cmd_malcev(args):
         out["mu_quotient_order"] = mv.mu_quotient(S, args.z).order
     witness = mv.mu_witness(S, args.z, V) if ok else None
     if witness is not None:
-        c, Q = witness
-        out["witness"] = {"classes": [sorted(x) for x in c.classes],
+        labels, Q = witness
+        out["witness"] = {"classes": [sorted(x) for x in sg.classes_of(labels)],
                           "quotient": Q.to_json_dict()}
     print(json.dumps(out))
     return 0 if ok else 1

@@ -7,10 +7,11 @@ actions give the duals D and D v G.  LI and LG stage K (K v G) and then D
 (D v G) on the first-stage image.  Each kernel is a label vector read from
 a Cayley table and J alone, and cached on S by (Z, J).  The mu_Z
 congruence is the kernel of the tuple of labels over all regular
-J-classes, and its quotient decides membership in Z m V for Z in the
-eight-element family handled here; N and N v G route through
-intersections of the K/D (resp. K v G / D v G) sides.  The same
-congruence is the witness of a member (mu_witness).
+J-classes, itself a label vector, and its quotient decides membership in
+Z m V for Z in the eight-element family handled here; N and N v G route
+through intersections of the K/D (resp. K v G / D v G) sides.  The same
+congruence is the witness of a member (mu_witness), which checks that
+it is one.
 """
 
 from . import semigroups as sg
@@ -84,16 +85,16 @@ def _mu_zj_labels(S, J, Z):
 
 
 def mu_z(S, Z):
-    """Meet of the mu_{Z,J} kernels over all regular J-classes."""
+    """Meet of the mu_{Z,J} kernels over all regular J-classes, as a
+    kernel_labels vector."""
     g = S.green()
-    kernels = [_mu_zj_labels(S, g.j_classes[j], Z) for j in g.regular_j]
-    return sg.Congruence(S, zip(*kernels), check=False)
+    return sg.kernel_labels(zip(*[_mu_zj_labels(S, g.j_classes[j], Z)
+                                  for j in g.regular_j]))
 
 
 def mu_quotient(S, Z):
     """S / mu_Z, cached on S; element c of the quotient is the mu_Z class
-    with label c.  The congruence is not kept: it refers back to S, and
-    that cycle would leave S to the cyclic garbage collector."""
+    with label c."""
     Q = S._derived.get(Z)
     if Q is None:
         Q = S._derived[Z] = sg.quotient(S, mu_z(S, Z))
@@ -186,28 +187,26 @@ def pinweil_refute(S, z_basis, V):
 
 
 def mu_witness(S, Z, V):
-    """A witness of S in Z m V, as (c, S/c) for a congruence c whose
-    quotient is in V and whose idempotent classes, as subsemigroups of S,
-    are in Z; None when c fails either check (Pin & Weil, "Profinite
-    semigroups, Mal'cev products and identities", J. Algebra 1996).
+    """A witness of S in Z m V, as (labels, S/labels) for the label vector
+    of a congruence whose quotient is in V and whose idempotent classes,
+    as subsemigroups of S, are in Z; None when the labels fail any of the
+    three checks (Pin & Weil, "Profinite semigroups, Mal'cev products and
+    identities", J. Algebra 1996).
 
-    c is mu_Z, or for N (N v G) the meet of the K and D (K v G and D v G)
-    kernels, so S/c is a subdirect product of the quotients that
-    malcev_member reads.  Both conditions are checked by member, not read
-    off mu."""
+    The labels are mu_Z's, or for N (N v G) the meet of the K and D (K v G
+    and D v G) kernels, so the quotient is a subdirect product of the
+    quotients that malcev_member reads.  Compatibility is checked by
+    is_congruence and both memberships by member, none read off mu."""
     if isinstance(V, str):
         V = get_pseudovariety(V)
-    comps = MEETS.get(Z, (Z,))
-    c = sg.Congruence(S, zip(*[mu_z(S, z).class_of for z in comps]), check=False)
-    Q = sg.quotient(S, c)
+    labels = sg.kernel_labels(zip(*[mu_z(S, z) for z in MEETS.get(Z, (Z,))]))
+    if not sg.is_congruence(S, labels):
+        return None
+    Q = sg.quotient(S, labels)
     if not member(Q, V):
         return None
     z_def = get_pseudovariety(Z)
-    for e in Q.idempotents():
-        cls = sorted(c.classes[e])
-        idx = {x: i for i, x in enumerate(cls)}
-        sub = sg.FiniteSemigroup(
-            [[idx[S.table[x][y]] for y in cls] for x in cls], check=False)
-        if not member(sub, z_def):
-            return None
-    return c, Q
+    classes = sg.classes_of(labels)
+    if not all(member(sg.subsemigroup(S, classes[e]), z_def) for e in Q.idempotents()):
+        return None
+    return labels, Q

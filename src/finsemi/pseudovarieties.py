@@ -98,14 +98,15 @@ def _factors(t):
 
 
 def _emit_run(base, exp):
-    """Render one combined run as a factor list."""
-    base_fs = _factors(base)
+    """Render one combined run as a factor list: spelled out while it has
+    at most _EXPAND_CAP factors, else one power.  An integer exponent is
+    at least 2: _canon_power passes a Power's exponent, at least 2 in
+    every Power term, and _combine_pass passes either that or a merged
+    run, a sum of two or more positive counts."""
     if isinstance(exp, int):
-        if exp == 0:
-            return []
+        base_fs = _factors(base)
         if exp * len(base_fs) <= _EXPAND_CAP:
             return base_fs * exp
-        return [tm._power(base, exp)] if exp >= 2 else base_fs
     return [tm._power(base, exp)]
 
 

@@ -2,7 +2,9 @@
 
 Semigroups are multiplication tables over dense element indices 0..n-1.
 Everything downstream (Green's relations, quotients, duals, the named
-catalog) works on this representation.
+catalog) works on this representation, and a partition of the elements,
+a Green's relation or a congruence, is a label vector whose ids number
+the classes by least element (kernel_labels).
 Instances are immutable after construction; derived data (Green's
 structure, idempotents, each element's index, period and omega power,
 canonical form, local monoids, and the mu labels, mu quotients and
@@ -247,7 +249,7 @@ def kernel_labels(keys):
 def classes_of(labels):
     """The classes of a label vector as a tuple of frozensets, class c at
     index c: the one place that groups elements into classes (Green's
-    relations, every Congruence)."""
+    relations, quotient labels, the classes of a mu witness)."""
     classes = [[] for _ in range(max(labels) + 1)]
     for x, c in enumerate(labels):
         classes[c].append(x)
@@ -289,12 +291,20 @@ def local_monoid(S, e):
     if M is None:
         if S.table[e][e] != e:
             raise NotIdempotent(f"element {e} is not idempotent")
-        elems = sorted({S.table[S.table[e][x]][e] for x in range(S.order)})
-        idx = {x: i for i, x in enumerate(elems)}
-        table = [[idx[S.table[x][y]] for y in elems] for x in elems]
-        labels = [S.label(x) for x in elems] if S.labels else None
-        M = S._derived[e] = FiniteSemigroup(table, labels=labels, check=False)
+        t = S.table
+        M = S._derived[e] = subsemigroup(S, {t[t[e][x]][e] for x in range(S.order)})
     return M
+
+
+def subsemigroup(S, elems):
+    """The subsemigroup of S on a set of elements closed under the
+    product, which it does not check: element i is the i-th least of
+    elems, and S's labels go with the elements."""
+    elems = sorted(elems)
+    idx = {x: i for i, x in enumerate(elems)}
+    table = [[idx[S.table[x][y]] for y in elems] for x in elems]
+    labels = [S.label(x) for x in elems] if S.labels else None
+    return FiniteSemigroup(table, labels=labels, check=False)
 
 
 def generating_tuples(S, k):
@@ -328,52 +338,34 @@ def dual(S):
     return FiniteSemigroup(table, labels=S.labels, generators=S.generators, check=False)
 
 
-class Congruence:
-    """The kernel of x -> keys[x] on the elements of a semigroup, for any
-    hashable keys: x and y share a class when keys[x] == keys[y].  class_of
-    is the kernel_labels vector of the keys, so classes are numbered by
-    least element; the classes themselves, frozensets, are built on first
-    read and kept.  Raises IncompatiblePartition when there is not one key
-    per element or, with check, when the partition is not compatible with
-    multiplication."""
-
-    def __init__(self, semigroup, keys, check=True):
-        self.semigroup = semigroup
-        self.class_of = kernel_labels(keys)
-        if len(self.class_of) != semigroup.order:
-            raise IncompatiblePartition(
-                f"{len(self.class_of)} keys for {semigroup.order} elements")
-        if check and not self._compatible():
-            raise IncompatiblePartition("partition is not compatible with multiplication")
-
-    @cached_property
-    def classes(self):
-        return classes_of(self.class_of)
-
-    def _compatible(self):
-        t = self.semigroup.table
-        cof = self.class_of
-        reps = least_elements(cof)
-        for x, c in enumerate(cof):
-            rep = reps[c]
-            for y in range(self.semigroup.order):
-                if cof[t[x][y]] != cof[t[rep][y]] or cof[t[y][x]] != cof[t[y][rep]]:
-                    return False
-        return True
+def is_congruence(S, labels):
+    """Whether the partition of S by a kernel_labels vector is compatible
+    with multiplication: every element multiplies, on either side, into
+    the class that the least element of its own class does."""
+    t = S.table
+    reps = least_elements(labels)
+    for x, c in enumerate(labels):
+        rep = reps[c]
+        for y in range(S.order):
+            if labels[t[x][y]] != labels[t[rep][y]] or labels[t[y][x]] != labels[t[y][rep]]:
+                return False
+    return True
 
 
-def quotient(S, cong):
-    """The quotient semigroup S/cong: class c is element c, and classes
-    multiply via their least elements."""
-    if cong.semigroup is not S and cong.semigroup.table != S.table:
-        raise IncompatiblePartition("congruence belongs to a different semigroup")
-    cof = cong.class_of
-    reps = least_elements(cof)
-    table = [[cof[S.table[x][y]] for y in reps] for x in reps]
-    labels = None
+def quotient(S, labels):
+    """The quotient S/labels by the congruence a kernel_labels vector
+    names: class c is element c, and classes multiply via their least
+    elements.  Compatibility is not checked here (is_congruence does);
+    raises IncompatiblePartition when there is not one label per element."""
+    if len(labels) != S.order:
+        raise IncompatiblePartition(f"{len(labels)} labels for {S.order} elements")
+    reps = least_elements(labels)
+    table = [[labels[S.table[x][y]] for y in reps] for x in reps]
+    names = None
     if S.labels:
-        labels = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}" for c in cong.classes]
-    return FiniteSemigroup(table, labels=labels, check=False)
+        names = ["{" + ",".join(S.label(x) for x in sorted(c)) + "}"
+                 for c in classes_of(labels)]
+    return FiniteSemigroup(table, labels=names, check=False)
 
 
 def adjoin_identity(S):

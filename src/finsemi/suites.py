@@ -35,6 +35,8 @@ LEMMA69_PAIRS = 500
 LEMMA69_WORDS = 10_000
 DUALITY_INSTANCES = 10_000
 DUALITY_MU_SAMPLES = 100
+# The factor cap of both ilbf2 routes that lemma69_terms compares
+LEMMA69_CAP = 40
 
 
 @dataclass
@@ -273,9 +275,9 @@ def _raw_ilbf_term(t, cap=60):
         rem = res.y
 
 
-def _raw_ilbf2(u, cap=60):
+def _raw_ilbf2(u):
     img = dk.phi_k_term(u, 1)
-    return fz.induced_factorization(u, img, _raw_ilbf_term(img, cap=cap))
+    return fz.induced_factorization(u, img, _raw_ilbf_term(img, cap=LEMMA69_CAP))
 
 
 def suite_lemma69_terms(config, report):
@@ -299,8 +301,8 @@ def suite_lemma69_terms(config, report):
         made += 1
         report.checked += 1
         try:
-            r1 = fz.ilbf2(t, cap=40)
-            r2 = _raw_ilbf2(t2, cap=40)
+            r1 = fz.ilbf2(t, cap=LEMMA69_CAP)
+            r2 = _raw_ilbf2(t2)
         except UnsupportedShape:
             report.unknown += 1
             continue

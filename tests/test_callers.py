@@ -7,12 +7,18 @@ outside its own body.  A definition that only tests call belongs in the
 tests; `pinweil_refute` is kept as the non-member certificate of Mal'cev
 membership, which no decision path reads yet.
 
-Both checks match by name alone, so a definition passes when another one
+A keyword argument that some call in src/ or bench/ passes must take more
+than one value there, a call that omits it passing the default: a flag
+or budget with one value in use is a module constant, not a parameter.
+
+The checks match by name alone, so a definition passes when another one
 of the same name has a caller: `Dfa.to_json_dict`, say, would pass on the
-strength of `FiniteSemigroup.to_json_dict`."""
+strength of `FiniteSemigroup.to_json_dict`.  The keyword check skips a
+name that more than one function or class of src/ defines, and a value
+other than a literal counts as a value of its own."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import finsemi
@@ -95,3 +101,81 @@ def test_every_library_method_is_read():
             if reads[name] - _attributes(node)[name] == 0:
                 unread.append(f"{path.stem}.{cls}.{name}")
     assert not unread, f"no read in src/ or bench/: {unread}"
+
+
+VARIES = object()  # the value of an argument that is not a literal
+
+
+def _literal(node):
+    return node.value if isinstance(node, ast.Constant) else VARIES
+
+
+def _parameters(fn, skip):
+    """name -> (position or None if keyword-only, default node or None)
+    for each parameter of fn past its first `skip` positional ones."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+    params = {p.arg: (i, d) for i, (p, d) in
+              enumerate(zip(positional[skip:], defaults[skip:]))}
+    params.update((p.arg, (None, d)) for p, d in zip(a.kwonlyargs, a.kw_defaults))
+    return params
+
+
+def _signatures(tree):
+    """(callable name, parameters) for each top-level function, and for
+    each method of a top-level class, its self dropped; a class is called
+    by its own name through __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, _parameters(node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    name = node.name if sub.name == "__init__" else sub.name
+                    yield name, _parameters(sub, 0 if static else 1)
+
+
+def _called_name(call):
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    return f.attr if isinstance(f, ast.Attribute) else None
+
+
+def test_no_keyword_takes_one_value():
+    trees = _trees()
+    signatures = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for name, params in _signatures(trees[path]):
+            signatures[name].append(params)
+    calls = defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) in signatures:
+                calls[_called_name(node)].append(node)
+    constant = []
+    for name, found in sorted(signatures.items()):
+        if len(found) != 1:
+            continue
+        passed = {k.arg for c in calls[name] for k in c.keywords}
+        for kw, (pos, default) in found[0].items():
+            if kw not in passed:
+                continue
+            values = set()
+            for c in calls[name]:
+                given = [k.value for k in c.keywords if k.arg == kw]
+                if any(isinstance(a, ast.Starred) for a in c.args) or \
+                        any(k.arg is None for k in c.keywords):
+                    values.add(VARIES)
+                elif given:
+                    values.add(_literal(given[0]))
+                elif pos is not None and pos < len(c.args):
+                    values.add(_literal(c.args[pos]))
+                else:
+                    values.add(VARIES if default is None else _literal(default))
+            if len(values) == 1 and VARIES not in values:
+                constant.append(f"{name}({kw}={values.pop()!r})")
+    assert not constant, f"one value in src/ and bench/: {constant}"

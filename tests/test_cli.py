@@ -80,9 +80,10 @@ def test_malcev_n_witness_replays(capsys, tmp_path):
     witness = json.loads(capsys.readouterr().out)["witness"]
     classes = witness["classes"]
     assert len(classes) == 2
-    keys = [next(i for i, cls in enumerate(classes) if x in cls) for x in range(S.order)]
-    c = sg.Congruence(S, keys, check=True)
-    assert [list(row) for row in sg.quotient(S, c).table] == witness["quotient"]["table"]
+    labels = sg.kernel_labels(
+        [next(i for i, cls in enumerate(classes) if x in cls) for x in range(S.order)])
+    assert sg.is_congruence(S, labels)
+    assert [list(row) for row in sg.quotient(S, labels).table] == witness["quotient"]["table"]
 
 
 def test_phi(capsys):

@@ -313,7 +313,7 @@ def _decisions(t):
     infinite factorization's witness is the first recurring signature; it
     is compared with its limit-exponent offsets zeroed, since where a
     cycle is first seen depends on the terms, not only their values."""
-    r = fz.ilbf2(t, cap=40)
+    r = fz.ilbf2(t, cap=suites.LEMMA69_CAP)
     witness = fz._zero_offsets(r.witness) if isinstance(r.witness, tm.Term) else r.witness
     g = fz.ds_dk_regular(t, 1)
     return (r.outcome, r.length, witness), (g.status, g.witness and g.witness.length)
@@ -322,7 +322,7 @@ def _decisions(t):
 def _raw_decisions(t):
     """_decisions(t) by the raw route: the window image of t as written,
     factorized along the remainders cut from it."""
-    r = suites._raw_ilbf2(t, cap=40)
+    r = suites._raw_ilbf2(t)
     witness = fz._zero_offsets(r.witness) if isinstance(r.witness, tm.Term) else r.witness
     g = suites._raw_ilbf_term(dk.phi_k_term(t, 1))
     status = {"infinite": "proved", "finite": "refuted", "unknown": "unknown"}[g.outcome]

@@ -254,7 +254,7 @@ def test_adjoin_identity():
 
 
 def congruence_from_pairs(S, pairs):
-    """The class_of vector of the smallest congruence of S containing the
+    """The label vector of the smallest congruence of S containing the
     given element pairs."""
     parent = list(range(S.order))
 
@@ -283,9 +283,10 @@ def congruence_from_pairs(S, pairs):
 
 
 def congruences(S):
-    """All congruences of S, by number of classes and then by classes: the
-    identity congruence and the closure of the principal congruences under
-    join (every congruence is a join of principal ones)."""
+    """The label vectors of all congruences of S, by number of classes and
+    then by classes: the identity congruence and the closure of the
+    principal congruences under join (every congruence is a join of
+    principal ones)."""
     n = S.order
 
     def join(a, b):
@@ -298,48 +299,56 @@ def congruences(S):
     principal = [congruence_from_pairs(S, [(a, b)])
                  for a in range(n) for b in range(a + 1, n)]
     found = {tuple(range(n)), *sg.closure(principal, join)[0]}
-    return sorted((sg.Congruence(S, lab, check=False) for lab in found),
-                  key=lambda c: (len(c.classes), [sorted(cls) for cls in c.classes]))
+    return sorted(found, key=lattice_order)
+
+
+def lattice_order(labels):
+    """The sort key of congruences: number of classes, then the classes."""
+    classes = sg.classes_of(labels)
+    return len(classes), [sorted(c) for c in classes]
 
 
 def test_quotient_by_identity_congruence():
     B2 = sg.catalog("B2")
-    c = sg.Congruence(B2, range(B2.order))
-    Q = sg.quotient(B2, c)
+    Q = sg.quotient(B2, tuple(range(B2.order)))
     assert Q.table == B2.table
 
 
 def test_quotient_is_homomorphic_image():
     B2 = sg.catalog("B2")
-    c = sg.Congruence(B2, congruence_from_pairs(B2, [(0, 1)]))
-    Q = sg.quotient(B2, c)
-    cof = c.class_of
+    cof = congruence_from_pairs(B2, [(0, 1)])
+    Q = sg.quotient(B2, cof)
     for x in range(B2.order):
         for y in range(B2.order):
             assert Q.table[cof[x]][cof[y]] == cof[B2.table[x][y]]
-    assert Q.order == len(c.classes)
+    assert Q.order == len(sg.classes_of(cof))
 
 
 def test_incompatible_partition_rejected():
-    B2 = sg.catalog("B2")
-    with pytest.raises(IncompatiblePartition):
-        sg.Congruence(B2, [0, 0, 1, 2, 3])
+    # {a, b} is no congruence class of B2: a b = ab, but b b = 0
+    assert not sg.is_congruence(sg.catalog("B2"), [0, 0, 1, 2, 3])
+
+
+def test_is_congruence_accepts_the_whole_lattice():
+    from finsemi import corpus as cp
+    for S in (sg.catalog("B2"),) + cp.all_semigroups_upto(3):
+        for labels in congruences(S):
+            assert sg.is_congruence(S, labels), (S.table, labels)
 
 
 def test_congruence_classes_numbered_by_least_element():
     # tuple keys holding None, as the mu kernels pass them
-    S = sg.catalog("null", 5)
     keys = [(1, None), (None, 2), (1, None), (0, None), (None, 2)]
-    c = sg.Congruence(S, keys, check=False)
-    assert c.classes == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3}))
-    assert c.class_of == (0, 1, 0, 2, 1)
+    labels = sg.kernel_labels(keys)
+    assert labels == (0, 1, 0, 2, 1)
+    assert sg.classes_of(labels) == (frozenset({0, 2}), frozenset({1, 4}), frozenset({3}))
 
 
 def test_congruence_needs_one_key_per_element():
     B2 = sg.catalog("B2")
-    for keys in ([0, 0, 0, 0], range(6)):
+    for labels in ([0, 0, 0, 0], range(6)):
         with pytest.raises(IncompatiblePartition):
-            sg.Congruence(B2, keys, check=False)
+            sg.quotient(B2, labels)
 
 
 def test_generate_b2_from_a_b():
@@ -382,6 +391,7 @@ def test_congruences_b2_against_brute_force():
             for x in range(5) for xp in range(5) if cof[x] == cof[xp]
             for y in range(5) for yp in range(5) if cof[y] == cof[yp]
         )
+        assert sg.is_congruence(B2, sg.kernel_labels(map(cof.get, range(5)))) == ok, part
         if ok:
             count += 1
     assert len(congruences(B2)) == count
@@ -390,7 +400,7 @@ def test_congruences_b2_against_brute_force():
 def test_congruences_in_canonical_order():
     from finsemi import corpus as cp
     for S in (sg.catalog("B2"),) + cp.all_semigroups_upto(3):
-        keys = [(len(c.classes), [sorted(cls) for cls in c.classes]) for c in congruences(S)]
+        keys = [lattice_order(labels) for labels in congruences(S)]
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), S.table
 
 
@@ -457,8 +467,9 @@ def test_wreath_u1_d1_contains_b2():
         for z in range(U.order):
             ideal = {z, *U.table[z]}
             ideal |= {U.table[s][x] for x in ideal for s in range(U.order)}
-            keys = [-1 if x in ideal else x for x in range(U.order)]
-            yield sg.quotient(U, sg.Congruence(U, keys))
+            labels = sg.kernel_labels([-1 if x in ideal else x for x in range(U.order)])
+            assert sg.is_congruence(U, labels)
+            yield sg.quotient(U, labels)
 
     B2 = sg.catalog("B2")
     assert any(sg.is_isomorphic(Q, B2)
